@@ -48,6 +48,8 @@ class CliError(Exception):
 
 
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+# the fibre and momentum generators y1.., xi1.. and p1.. the library names
+_GENERATED = re.compile(r"^(?:y|xi|p)[1-9][0-9]*$")
 _MORPHISM_HEADER = re.compile(
     r"^morphism\s+([A-Za-z][A-Za-z0-9_]*)\s*:"
     r"\s*([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)$"
@@ -164,6 +166,12 @@ class _Section:
                 self.coords = BaseChart(tuple(names))
             except ValueError as e:
                 raise CliError(f"{where}: {e}") from None
+            for name in names:
+                if _GENERATED.match(name):
+                    raise CliError(
+                        f"{where}: coordinate name {name!r} is reserved for the"
+                        " generated y*, xi* and p* names"
+                    )
         elif self.kind == "algebroid":
             self._add_algebroid(key, fields, rhs, where)
         elif self.kind == "morphism":
@@ -325,10 +333,15 @@ def parse_problem(path: str, text: str) -> Problem:
 
 def load_problem(path: str) -> Problem:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as e:
         raise CliError(f"cannot read {path!r}: {e.strerror or e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise CliError(f"{path}:{line}: not valid UTF-8 text") from None
     return parse_problem(path, text)
 
 

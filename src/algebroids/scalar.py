@@ -5,9 +5,32 @@ multivariate polynomials in the chart coordinates, with rational-number
 coefficients and a canonical representation, so equality is literal
 comparison and printing is deterministic.
 
-Canonical form: numerator and denominator coprime (primitive-PRS gcd),
-denominator monic under graded-lexicographic order (total degree first,
-ties broken lexicographically with the first coordinate biggest).
+Canonical form: numerator and denominator coprime, denominator monic under
+graded-lexicographic order (total degree first, ties broken
+lexicographically with the first coordinate biggest).
+
+The canonical form of a rational function is unique, so any route that
+reaches a coprime pair with a monic denominator gives the same bytes as the
+full reduction. Arithmetic therefore runs a gcd only where coprimality is
+not already known:
+
+- ``_pgcd`` answers the trivial cases before its primitive PRS (Brown,
+  1971), also inside its own content recursion: a constant operand gives 1,
+  a single-term operand gives the monic monomial of least exponents, and
+  equal operands give the monic operand.
+- A constant denominator is only scaled; its gcd with anything is 1.
+- ``partial`` of ``a/b`` takes ``g = gcd(b, b')`` with ``b = g*h`` and
+  ``b' = g*e``: the quotient rule gives ``(a'*h - a*e) / (b*h)``, where
+  again only a factor of ``g`` can cancel, in place of a gcd against
+  ``b**2``. With a constant denominator it differentiates the numerator.
+- Sums use Henrici's method (Knuth, TAOCP vol. 2, section 4.5.1): with
+  ``g = gcd(b, d)``, ``a/b + c/d`` is ``t / (b*(d/g))`` for
+  ``t = a*(d/g) + c*(b/g)``, and only ``gcd(t, g)`` can be left to cancel.
+  Equal denominators are never squared, and coprime ones need no further gcd.
+- Products cancel ``gcd(a, d)`` and ``gcd(c, b)`` across first; what is
+  left is coprime and needs only its leading coefficient normalised.
+- Powers of a coprime pair stay coprime, so ``**`` raises numerator and
+  denominator separately.
 """
 
 from __future__ import annotations
@@ -163,11 +186,16 @@ def _split_var(p: dict, v: int) -> dict:
     return out
 
 
+def _is_const(p: dict) -> bool:
+    """True for a nonzero constant; among monic polynomials, only for 1."""
+    return len(p) == 1 and not any(next(iter(p)))
+
+
 def _content(p: dict, v: int) -> dict:
     cont: dict = {}
     for q in _split_var(p, v).values():
         cont = _pgcd(cont, q)
-        if len(cont) == 1 and not any(_plead(cont)) and cont[_plead(cont)] == 1:
+        if _is_const(cont):
             break
     return cont
 
@@ -188,15 +216,20 @@ def _prem(a: dict, b: dict, v: int) -> dict:
 
 
 def _pgcd(a: dict, b: dict) -> dict:
-    """Monic gcd of two polynomials (primitive PRS)."""
+    """Monic gcd of two polynomials (trivial cases, then primitive PRS)."""
     if not a:
         return _pmonic(b)
     if not b:
         return _pmonic(a)
-    present = _pvars(a) | _pvars(b)
-    if not present:
-        return {next(iter(a)): _F1}
-    v = max(present)
+    for p in (a, b):
+        if _is_const(p):
+            return {next(iter(p)): _F1}
+    if len(a) == 1 or len(b) == 1:
+        # a monomial divides a polynomial iff it divides every term
+        return {tuple(map(min, *a, *b)): _F1}
+    if a == b:
+        return _pmonic(a)
+    v = max(_pvars(a) | _pvars(b))
     da, db = _pdeg_in(a, v), _pdeg_in(b, v)
     if da == 0 or db == 0:
         ca = a if da == 0 else _content(a, v)
@@ -219,6 +252,22 @@ def _pgcd(a: dict, b: dict) -> dict:
     return _pmonic(_pmul(c, g))
 
 
+def _cofactors(g: dict, a: dict, b: dict) -> tuple[dict, dict]:
+    """a/g and b/g for a common factor g."""
+    if _is_const(g):
+        return a, b
+    return _pdiv_exact(a, g), _pdiv_exact(b, g)
+
+
+def _monic_den(num: dict, den: dict) -> tuple[dict, dict]:
+    """Scale a coprime pair so the denominator is monic."""
+    lc = den[_plead(den)]
+    if lc == 1:
+        return num, den
+    inv = 1 / lc
+    return _pscale(num, inv), _pscale(den, inv)
+
+
 class ScalarField:
     """One exact rational function; immutable, canonical on construction."""
 
@@ -232,17 +281,19 @@ class ScalarField:
         if not num:
             den = {(0,) * chart.m: _F1}
         else:
-            g = _pgcd(num, den)
-            if not (len(g) == 1 and not any(_plead(g))):
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
-            lc = den[_plead(den)]
-            if lc != 1:
-                num = _pscale(num, 1 / lc)
-                den = _pscale(den, 1 / lc)
+            num, den = _monic_den(*_cofactors(_pgcd(num, den), num, den))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _canonical(chart: BaseChart, num: dict, den: dict) -> "ScalarField":
+        """Wrap a pair already in canonical form, without checking it."""
+        f = ScalarField.__new__(ScalarField)
+        object.__setattr__(f, "chart", chart)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -312,39 +363,64 @@ class ScalarField:
             return ScalarField.const(self.chart, other)
         return None
 
+    def _plus(self, c: dict, d: dict) -> "ScalarField":
+        """self + c/d for a canonical pair c/d, by Henrici's method."""
+        a, b = self.num, self.den
+        if not c:
+            return self
+        if not a:
+            return ScalarField._canonical(self.chart, c, d)
+        if b == d:
+            g, t, den = b, _padd(a, c), b
+        else:
+            g = _pgcd(b, d)
+            bg, dg = _cofactors(g, b, d)
+            t = _padd(_pmul(a, dg), _pmul(c, bg))
+            den = _pmul(b, dg)
+        if not t:
+            return ScalarField.zero(self.chart)
+        # a, c are coprime to b, d, so t can share a factor with g only
+        t, den = _cofactors(_pgcd(t, g), t, den)
+        return ScalarField._canonical(self.chart, t, den)
+
+    def _times(self, c: dict, d: dict) -> "ScalarField":
+        """self * c/d for a coprime pair c/d whose d need not be monic."""
+        a, b = self.num, self.den
+        if not a or not c:
+            return ScalarField.zero(self.chart)
+        a, d = _cofactors(_pgcd(a, d), a, d)
+        c, b = _cofactors(_pgcd(c, b), c, b)
+        num, den = _monic_den(_pmul(a, c), _pmul(b, d))
+        return ScalarField._canonical(self.chart, num, den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return ScalarField(self.chart, num, _pmul(self.den, o.den))
+        return self._plus(o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = ScalarField.__new__(ScalarField)
-        object.__setattr__(f, "chart", self.chart)
-        object.__setattr__(f, "num", _pneg(self.num))
-        object.__setattr__(f, "den", self.den)
-        return f
+        return ScalarField._canonical(self.chart, _pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(_pneg(o.num), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(_pneg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarField(self.chart, _pmul(self.num, o.num), _pmul(self.den, o.den))
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -354,7 +430,7 @@ class ScalarField:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return ScalarField(self.chart, _pmul(self.num, o.den), _pmul(self.den, o.num))
+        return self._times(o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -367,10 +443,14 @@ class ScalarField:
             return NotImplemented
         if k < 0:
             return ScalarField.one(self.chart) / self ** (-k)
-        out = ScalarField.one(self.chart)
+        one = {(0,) * self.chart.m: _F1}
+        num = den = one
         for _ in range(k):
-            out = out * self
-        return out
+            num = _pmul(num, self.num)
+        if num and not _is_const(self.den):
+            for _ in range(k):
+                den = _pmul(den, self.den)
+        return ScalarField._canonical(self.chart, num, den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -416,8 +496,20 @@ class ScalarField:
                         r.pop(mm, None)
             return r
 
-        num = _psub(_pmul(d(self.num), self.den), _pmul(self.num, d(self.den)))
-        return ScalarField(self.chart, num, _pmul(self.den, self.den))
+        a, b = self.num, self.den
+        if _is_const(b):
+            return ScalarField._canonical(self.chart, d(a), b)
+        # With g = gcd(b, b'), b = g*h and b' = g*e for coprime h, e, the
+        # quotient rule gives t/(b*h) with t = a'*h - a*e. As a and e are
+        # coprime to h, only gcd(t, g) can be left to cancel.
+        db = d(b)
+        g = _pgcd(b, db)
+        h, e = _cofactors(g, b, db)
+        t = _psub(_pmul(d(a), h), _pmul(a, e))
+        if not t:
+            return ScalarField.zero(self.chart)
+        t, den = _cofactors(_pgcd(t, g), t, _pmul(b, h))
+        return ScalarField._canonical(self.chart, t, den)
 
     # printing
 
@@ -457,6 +549,9 @@ class ScalarField:
 # expression parser, shared by the scalar and super layers
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*^()/]|\S")
+# Each level of parentheses costs four Python frames in the parser, so this
+# keeps well inside the default recursion limit.
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -482,12 +577,13 @@ class _Parser:
     atom   := IDENT | INT | INT '/' POSINT | '(' expr ')'
 
     '/' only builds rational literals; quotients of polynomials are not
-    part of the input language.
+    part of the input language. Parentheses nest at most _MAX_NESTING deep.
     """
 
     def __init__(self, text: str, resolve: Callable, const: Callable):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.resolve = resolve
         self.const = const
         if not self.toks:
@@ -562,10 +658,14 @@ class _Parser:
             self.fail("unexpected end of expression")
         tok, line, col = self.take()
         if tok == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", line, col)
+            self.depth += 1
             value = self.expr()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.take()
+            self.depth -= 1
             return value
         if tok.isdigit():
             numerator = int(tok)
@@ -598,19 +698,3 @@ def parse_scalar(text: str, chart: BaseChart) -> ScalarField:
 
     return parse_expression(text, resolve, lambda q: ScalarField.const(chart, q))
 
-
-def scalar_arith(a: ScalarField, b: ScalarField, op: str) -> ScalarField:
-    """Dispatch helper mirroring the library's operator surface."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def scalar_partial(f: ScalarField, a) -> ScalarField:
-    return f.partial(a)

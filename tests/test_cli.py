@@ -217,3 +217,42 @@ def test_parse_problem_objects():
     frame = problem.frames["D"]
     assert frame.is_graph()
     assert frame.bivector() == problem.bivectors["P"]
+
+
+def _nested_rho(depth):
+    expr = "(" * depth + "x1" + ")" * depth
+    return f"[chart]\ncoords = x1\n\n[algebroid a]\nrank = 1\nrho 1 1 = {expr}\n"
+
+
+HOSTILE_FILES = [
+    (_nested_rho(3000), "line 6: parentheses nested more than 100 deep"),
+    (b"[chart]\ncoords = x1\n# \xff\xfe\n\n[algebroid a]\nrank = 1\n", "line 3: not valid UTF-8 text"),
+    (
+        "[chart]\ncoords = y1 x2\n\n[algebroid a]\nrank = 2\nrho 1 1 = 1\n",
+        "line 2: coordinate name 'y1' is reserved",
+    ),
+    ("[chart]\ncoords = x1 xi2\n", "line 2: coordinate name 'xi2' is reserved"),
+    ("[chart]\ncoords = p1\n", "line 2: coordinate name 'p1' is reserved"),
+]
+
+
+@pytest.mark.parametrize("content,fragment", HOSTILE_FILES, ids=lambda v: None)
+def test_hostile_files_are_input_errors(content, fragment, tmp_path, capsys):
+    """Deep nesting, bad encodings and reserved coordinate names end in
+    exit 2 with an ERROR line that names the file position."""
+    path = tmp_path / "hostile.alg"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    code, out, err = run(("check-jacobi", str(path), "a"), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR: ")
+    assert fragment in err.replace(str(path) + ":", "line ")
+
+
+def test_nesting_below_the_bound_parses(tmp_path, capsys):
+    path = tmp_path / "nested.alg"
+    path.write_text(_nested_rho(100))
+    assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")

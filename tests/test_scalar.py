@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids.scalar import BaseChart, ParseError, ScalarField, parse_scalar, scalar_arith
+from algebroids import scalar
+from algebroids.scalar import BaseChart, ParseError, ScalarField, parse_scalar
 
 from genlib import rand_poly, rand_poly_nonzero, rand_scalar
 
@@ -62,8 +63,11 @@ def test_arith_cancellation():
     x1 = s("x1")
     one_plus = s("1 + x1")
     assert (x1 / one_plus) * one_plus == x1
-    inv = scalar_arith(ScalarField.one(CH2), one_plus, "div")
+    inv = ScalarField.one(CH2) / one_plus
     assert inv.den == one_plus.num
+    # equal and overlapping denominators whose sum cancels their common factor
+    assert x1 / one_plus + 1 / one_plus == 1
+    assert 1 / (x1 * one_plus) - 1 / x1 == -1 / one_plus
     assert s("(x1+x2)^2 - (x1^2 + 2*x1*x2 + x2^2)").is_zero
 
 
@@ -88,6 +92,10 @@ def test_partial_examples():
     assert (1 / s("1 + x1")).partial("x2").is_zero
     x1, x2 = s("x1"), s("x2")
     assert (x2 / x1).partial(1) == -x2 / x1 ** 2
+    # the x2 factor of the denominator leaves the derivative
+    f = 1 / x2 + 1 / (1 + x1)
+    assert f.partial(1).den == ((1 + x1) ** 2).num
+    assert f.partial(1) == -1 / (1 + x1) ** 2
 
 
 def test_partial_is_a_derivation():
@@ -121,6 +129,30 @@ def test_ring_axioms_randomized():
         assert f * g == g * f
         if not g.is_zero:
             assert (f / g) * g == f
+
+
+def test_polynomial_arithmetic_runs_no_prs(monkeypatch):
+    """Polynomials have constant denominators, so no gcd reaches the PRS."""
+    calls = []
+    prem = scalar._prem
+    monkeypatch.setattr(scalar, "_prem", lambda *args: calls.append(args) or prem(*args))
+    rng = random.Random(3)
+    for _ in range(25):
+        f = rand_poly(rng, CH2, deg=2)
+        g = rand_poly(rng, CH2, deg=2)
+        h = rand_poly(rng, CH2, deg=2)
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert f - g == -(g - f)
+        assert (f * g) ** 2 == f ** 2 * g ** 2
+        assert (f * g).partial(1) == f.partial(1) * g + f * g.partial(1)
+        assert (3 * f) / 3 == f
+    assert (1 - s("x1") ** 2) / 2 == s("1/2 - 1/2*x1^2")
+    assert calls == []
+    # the counter is live: a real denominator does reach the PRS
+    s("x1 + x2") / s("x1 - x2")
+    assert calls
 
 
 def test_print_parse_round_trip_on_polynomials():

@@ -1,0 +1,143 @@
+"""ScalarField arithmetic against sympy, which shares no code with it.
+
+The expected values are elements of sympy's rational function field, which
+sympy keeps in lowest terms with its own ``cancel`` and gcd.
+
+Operands are drawn so that every gcd the kernel skips or shortens is met:
+constant denominators, single-term denominators, equal denominators,
+denominators that share a linear factor, sums in which that shared factor
+cancels, and unrelated denominators. Drawn polynomials are multilinear
+(each exponent 0 or 1): results of higher degree make the library's own PRS
+gcd, which the canonical-form checks call, take minutes.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from algebroids.scalar import BaseChart, ScalarField, _pgcd
+
+CHARTS = (BaseChart(("x1", "x2")), BaseChart(("x1", "x2", "x3")))
+FIELDS = {chart.m: sympy.field(chart.names, sympy.QQ) for chart in CHARTS}
+DEN_KINDS = ("constant", "monomial", "equal", "shared", "cancelling", "general")
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+nonzero_coefficients = coefficients.filter(bool)
+
+
+def exponents(m):
+    return st.tuples(*[st.integers(0, 1)] * m)
+
+
+def polynomials(m, max_terms=3, nonzero=False):
+    return st.dictionaries(exponents(m), nonzero_coefficients, min_size=int(nonzero), max_size=max_terms)
+
+
+def pmul(a, b):
+    r = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            r[m] = r.get(m, 0) + ca * cb
+    return {m: c for m, c in r.items() if c}
+
+
+def psub(a, b):
+    r = dict(a)
+    for m, c in b.items():
+        r[m] = r.get(m, 0) - c
+    return {m: c for m, c in r.items() if c}
+
+
+@st.composite
+def operand_pairs(draw):
+    """(chart, (num, den), (num, den), kind); dens related as kind says."""
+    chart = draw(st.sampled_from(CHARTS))
+    m = chart.m
+    zero = (0,) * m
+    kind = draw(st.sampled_from(DEN_KINDS))
+    axis = draw(st.integers(0, m - 1))
+    linear = {tuple(int(i == axis) for i in range(m)): Fraction(1), zero: draw(nonzero_coefficients)}
+    n1, n2 = draw(polynomials(m)), draw(polynomials(m))
+    if kind == "constant":
+        d1, d2 = ({zero: draw(nonzero_coefficients)} for _ in range(2))
+    elif kind == "monomial":
+        d1, d2 = ({draw(exponents(m)): draw(nonzero_coefficients)} for _ in range(2))
+    elif kind == "equal":
+        d1 = draw(polynomials(m, nonzero=True))
+        d2 = dict(d1)
+    elif kind == "shared":
+        d1 = pmul(linear, draw(polynomials(m, 2, nonzero=True)))
+        d2 = pmul(linear, draw(polynomials(m, 2, nonzero=True)))
+    elif kind == "cancelling":
+        # the numerator of the sum is linear * s, so the shared factor cancels
+        p, q = draw(polynomials(m, 2, nonzero=True)), draw(polynomials(m, 2, nonzero=True))
+        n1, s = draw(polynomials(m, nonzero=True)), draw(polynomials(m, 2, nonzero=True))
+        if draw(st.booleans()):
+            d1 = d2 = pmul(linear, p)
+            n2 = psub(pmul(linear, s), n1)
+        else:
+            d1, d2 = pmul(linear, p), pmul(linear, q)
+            n1, n2 = pmul(p, n1), psub(pmul(linear, s), pmul(q, n1))
+    else:
+        d1, d2 = (draw(polynomials(m, nonzero=True)) for _ in range(2))
+    return chart, (n1, d1), (n2, d2), kind
+
+
+def to_ring(chart, p):
+    ring = FIELDS[chart.m][0].ring
+    return ring.from_dict({m: sympy.QQ(c.numerator, c.denominator) for m, c in p.items()})
+
+
+def to_field(chart, num, den):
+    return FIELDS[chart.m][0].new(to_ring(chart, num), to_ring(chart, den))
+
+
+def assert_agrees(f, expected):
+    """f equals sympy's expected value and is in canonical form itself."""
+    num, den = to_ring(f.chart, f.num), to_ring(f.chart, f.den)
+    assert num * expected.denom == den * expected.numer
+    assert num.gcd(den).is_ground
+    assert f.den[max(f.den, key=lambda m: (sum(m), m))] == 1
+    # The library's own primitive PRS can take seconds on a coprime pair
+    # with more than ten terms between them; sympy's gcd above already
+    # shows those pairs coprime.
+    if len(f.num) + len(f.den) <= 10:
+        assert _pgcd(f.num, f.den) == {(0,) * f.chart.m: Fraction(1)}
+        assert ScalarField(f.chart, dict(f.num), dict(f.den)) == f
+
+
+ORACLE = settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@ORACLE
+@given(operand_pairs(), st.integers(-2, 3), st.integers(0, 2))
+def test_arithmetic_matches_sympy(pair, k, axis):
+    chart, (n1, d1), (n2, d2), _kind = pair
+    f, g = ScalarField(chart, n1, d1), ScalarField(chart, n2, d2)
+    F, G = to_field(chart, n1, d1), to_field(chart, n2, d2)
+    assert_agrees(f, F)
+    assert_agrees(f + g, F + G)
+    assert_agrees(f - g, F - G)
+    assert_agrees(g - f, G - F)
+    assert_agrees(f * g, F * G)
+    if not g.is_zero:
+        assert_agrees(f / g, F / G)
+    if k > 0 or not f.is_zero:
+        assert_agrees(f**k, F**k)
+    v = axis % chart.m
+    assert_agrees(f.partial(v + 1), F.diff(FIELDS[chart.m][v + 1]))
+
+
+@ORACLE
+@given(operand_pairs())
+def test_gcd_matches_sympy(pair):
+    chart, (_, a), (_, b), _kind = pair
+    g = _pgcd(a, b)
+    expected = to_ring(chart, a).gcd(to_ring(chart, b))
+    assert to_ring(chart, g).monic() == expected.monic()
+    assert g[max(g, key=lambda m: (sum(m), m))] == 1
