@@ -154,10 +154,6 @@ class SkewAlgebroid:
         return self._memo["is_lie"]
 
 
-def de_rham_field(A: SkewAlgebroid) -> SuperVectorField:
-    return A.de_rham_field()
-
-
 def is_lie(A: SkewAlgebroid):
     """(flag, certificate): certificate is [d,d] when nonzero."""
     obstruction = A.jacobi_obstruction()
@@ -255,17 +251,6 @@ class AlgebroidMorphism:
     def entry(self, i: int, j: int) -> ScalarField:
         return self.matrix.get((i, j), ScalarField.zero(self.source.chart))
 
-    def push_section(self, X) -> tuple:
-        """Image coefficients of a source section in the target frame."""
-        X = self.source.section(X)
-        return tuple(
-            sum(
-                (X[i - 1] * self.entry(i, j) for i in range(1, self.source.rank + 1)),
-                ScalarField.zero(self.source.chart),
-            )
-            for j in range(1, self.target.rank + 1)
-        )
-
 
 def pullback(phi: AlgebroidMorphism, omega: SuperPoly) -> SuperPoly:
     """Substitute target frame forms along the morphism matrix."""
@@ -328,14 +313,12 @@ def conjugate_frame(A: SkewAlgebroid, G: list) -> SkewAlgebroid:
                 v = ScalarField.zero(A.chart)
                 for l in range(1, n + 1):
                     v = v + bracket[l - 1] * inv[l - 1][k - 1]
-                if not v.is_zero:
-                    c[(i, j, k)] = v
+                c[(i, j, k)] = v
     rho = {}
     for i in range(1, n + 1):
         for a in range(1, A.chart.m + 1):
             v = ScalarField.zero(A.chart)
             for l in range(1, n + 1):
                 v = v + rows[i - 1][l - 1] * A.rho_at(l, a)
-            if not v.is_zero:
-                rho[(i, a)] = v
+            rho[(i, a)] = v
     return SkewAlgebroid(A.chart, n, c, rho)

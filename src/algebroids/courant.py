@@ -165,6 +165,14 @@ class Hamiltonian:
         return self.space == other.space and self.value == other.value
 
 
+def _product(space: SymplecticSpace2, names) -> SuperPoly:
+    """Product of the named generators of the space, left to right."""
+    out = SuperPoly.generator(space.table, names[0])
+    for name in names[1:]:
+        out = out * SuperPoly.generator(space.table, name)
+    return out
+
+
 def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = None) -> Hamiltonian:
     """The cubic Hamiltonian whose derived bracket is the algebroid's.
 
@@ -175,41 +183,25 @@ def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = Non
         space = split_space(A.chart, A.rank)
     elif space.split_rank != A.rank or space.chart != A.chart:
         raise ValueError("space does not match the algebroid")
-    table = space.table
-    value = SuperPoly.zero(table)
+    value = SuperPoly.zero(space.table)
     for (i, j, k), f in A.c.items():
-        mono = (
-            SuperPoly.generator(table, space.y_name(i))
-            * SuperPoly.generator(table, space.y_name(j))
-            * SuperPoly.generator(table, space.xi_name(k))
-        )
-        value = value - f * mono
+        value = value - f * _product(space, (space.y_name(i), space.y_name(j), space.xi_name(k)))
     for (i, b), r in A.rho.items():
-        mono = SuperPoly.generator(table, space.y_name(i)) * SuperPoly.generator(
-            table, space.momenta[b - 1]
-        )
-        value = value - r * mono
+        value = value - r * _product(space, (space.y_name(i), space.momenta[b - 1]))
     return Hamiltonian(space, value)
 
 
 def standard_hamiltonian(space: SymplecticSpace2, rho: dict, phi: dict) -> Hamiltonian:
     """General-pairing builder: anchor rows rho[(i,a)] and a totally
     antisymmetric cubic phi[(i,j,k)] given for i<j<k."""
-    table = space.table
-    value = SuperPoly.zero(table)
+    value = SuperPoly.zero(space.table)
     for (i, a), r in rho.items():
-        mono = SuperPoly.generator(table, space.zeta[i - 1]) * SuperPoly.generator(
-            table, space.momenta[a - 1]
-        )
+        mono = _product(space, (space.zeta[i - 1], space.momenta[a - 1]))
         value = value - _coerce_scalar(space.chart, r) * mono
     for (i, j, k), f in phi.items():
         if not i < j < k:
             raise ValueError("phi indices must be strictly increasing")
-        mono = (
-            SuperPoly.generator(table, space.zeta[i - 1])
-            * SuperPoly.generator(table, space.zeta[j - 1])
-            * SuperPoly.generator(table, space.zeta[k - 1])
-        )
+        mono = _product(space, (space.zeta[i - 1], space.zeta[j - 1], space.zeta[k - 1]))
         value = value - _coerce_scalar(space.chart, f) * mono
     return Hamiltonian(space, value)
 
@@ -279,43 +271,53 @@ def bidegree_split(H: Hamiltonian) -> BidegreeParts:
     )
 
 
-def is_projectable(H: Hamiltonian) -> bool:
-    """gamma = psi = 0; cross-checked against the direct field criterion."""
+def _projectable_components(H: Hamiltonian):
+    """(flag, components): gamma = psi = 0, cross-checked against the
+    direct field criterion that {H, x^a} and {H, y^i} involve y only.
+
+    components maps each x and y name to its computed bracket; when the
+    field criterion fails, the scan stops at the first offending name.
+    """
     parts = bidegree_split(H)
     by_type = parts.gamma.value.is_zero and parts.psi.value.is_zero
     space = H.space
     table = space.table
     allowed = set(space.zeta[: space.split_rank])
     by_field = True
+    comps = {}
     for name in (*space.chart.names, *space.zeta[: space.split_rank]):
         comp = poisson_bracket(H.value, SuperPoly.generator(table, name), space)
+        comps[name] = comp
         if not comp.generator_names() <= allowed:
             by_field = False
             break
     if by_type != by_field:
         raise InternalConsistencyError("projectability criteria disagree")
-    return by_type
+    return by_type, comps
 
 
-Projection = namedtuple("Projection", "field algebroid homological")
+def is_projectable(H: Hamiltonian) -> bool:
+    """gamma = psi = 0; cross-checked against the direct field criterion."""
+    return _projectable_components(H)[0]
+
+
+Projection = namedtuple("Projection", "field algebroid")
 
 
 def project_to_E(H: Hamiltonian) -> Projection:
     """Push the Hamiltonian field down to the (x, y) generators.
 
-    Returns the projected field, the algebroid read off from it, and
-    whether {H,H} = 0 (the projection is computed either way).
+    Returns the projected field and the algebroid read off from it; the
+    brackets {H, x^a} and {H, y^i} are the ones the projectability check
+    computed.
     """
-    if not is_projectable(H):
+    ok, brackets = _projectable_components(H)
+    if not ok:
         raise ValueError("Hamiltonian is not projectable")
     space = H.space
     n = space.split_rank
-    table = space.table
     form_table = GeneratorTable(space.chart, odd=space.zeta[:n])
-    comps = {}
-    for name in (*space.chart.names, *space.zeta[:n]):
-        comp = poisson_bracket(H.value, SuperPoly.generator(table, name), space)
-        comps[name] = transport(comp, form_table)
+    comps = {name: transport(comp, form_table) for name, comp in brackets.items()}
     field = SuperVectorField(form_table, comps)
     c = {}
     for k in range(1, n + 1):
@@ -329,4 +331,4 @@ def project_to_E(H: Hamiltonian) -> Projection:
         for (odd, _even), coeff in comp.terms.items():
             rho[(odd[0] + 1, b)] = coeff
     algebroid = SkewAlgebroid(space.chart, n, c, rho)
-    return Projection(field, algebroid, hamiltonian_square(H).is_zero)
+    return Projection(field, algebroid)

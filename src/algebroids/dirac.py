@@ -35,16 +35,17 @@ from .algebroid import (
 from .courant import (
     Hamiltonian,
     SymplecticSpace2,
+    _monomial_type,
+    _product,
     anchor_apply,
     bidegree_split,
     derived_bracket,
     is_projectable,
     poisson_bracket,
     project_to_E,
-    split_space,
 )
 from .errors import DiracClosureError, InternalConsistencyError
-from .linalg import matrix_rank, solve_linear
+from .linalg import matrix_rank, row_reduce, solve_linear
 from .modular import Cocycle1, modular_class_of_morphism, modular_cocycle
 from .scalar import ScalarField
 from .superalg import SuperPoly, transport
@@ -218,19 +219,24 @@ class DiracFrame:
         return Bivector(self.space, entries)
 
 
+def _xi_image(P: Bivector, i: int) -> SuperPoly:
+    """sum_j P^{ij} xi_j, the image of y^i under the sharp map."""
+    space = P.space
+    out = SuperPoly.zero(space.table)
+    for j in range(1, space.split_rank + 1):
+        f = P.at(i, j)
+        if not f.is_zero:
+            out = out + f * SuperPoly.generator(space.table, space.xi_name(j))
+    return out
+
+
 def graph_frame(P: Bivector) -> DiracFrame:
     """The frame D_a = y^a + sum_j P^{aj} xi_j."""
     space = P.space
-    table = space.table
-    n = space.split_rank
-    sections = []
-    for a in range(1, n + 1):
-        s = SuperPoly.generator(table, space.y_name(a))
-        for j in range(1, n + 1):
-            f = P.at(a, j)
-            if not f.is_zero:
-                s = s + f * SuperPoly.generator(table, space.xi_name(j))
-        sections.append(s)
+    sections = [
+        SuperPoly.generator(space.table, space.y_name(a)) + _xi_image(P, a)
+        for a in range(1, space.split_rank + 1)
+    ]
     return DiracFrame(space, sections)
 
 
@@ -263,19 +269,9 @@ def gauge_transform(F: SuperPoly, P: Bivector) -> SuperPoly:
 def sharp_substitution(P: Bivector, F: SuperPoly) -> SuperPoly:
     """Substitute y^i -> sum_j P^{ij} xi_j; the wedge power of the sharp map."""
     space = P.space
-    table = space.table
-    if F.table != table:
+    if F.table != space.table:
         raise ValueError("argument must live on the space table")
-    n = space.split_rank
-    images = {}
-    for i in range(1, n + 1):
-        img = SuperPoly.zero(table)
-        for j in range(1, n + 1):
-            f = P.at(i, j)
-            if not f.is_zero:
-                img = img + f * SuperPoly.generator(table, space.xi_name(j))
-        images[space.y_name(i)] = img
-    return F.subst_odd(images)
+    return F.subst_odd({space.y_name(i): _xi_image(P, i) for i in range(1, space.split_rank + 1)})
 
 
 def _xi_restriction(space: SymplecticSpace2, F: SuperPoly) -> SuperPoly:
@@ -337,13 +333,13 @@ def twisted_hamiltonian(P: Bivector, H: Hamiltonian) -> TwistedStructure:
         value = value + inner * Fraction(1, 2)
     c = {}
     rho = {}
-    for (odd, even), coeff in value.terms.items():
-        ny = sum(1 for g in odd if g < n)
-        npp = sum(even)
-        if (ny, len(odd) - ny, npp) == (1, 2, 0):
+    for key, coeff in value.terms.items():
+        odd, even = key
+        kind = _monomial_type(space, key)
+        if kind == (1, 2, 0):
             k, i, j = odd[0] + 1, odd[1] - n + 1, odd[2] - n + 1
             c[(i, j, k)] = -coeff
-        elif (ny, len(odd) - ny, npp) == (0, 1, 1):
+        elif kind == (0, 1, 1):
             i = odd[0] - n + 1
             b = even.index(1) + 1
             rho[(i, b)] = -coeff
@@ -426,11 +422,7 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                mono = (
-                    SuperPoly.generator(table, space.y_name(i))
-                    * SuperPoly.generator(table, space.y_name(j))
-                    * SuperPoly.generator(table, space.y_name(k))
-                )
+                mono = _product(space, (space.y_name(i), space.y_name(j), space.y_name(k)))
                 combos.append(mono)
                 columns.append(sharp_substitution(P, mono))
     keys = sorted(set(target.terms) | {key for col in columns for key in col.terms})
@@ -451,29 +443,6 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
     return phi
 
 
-def _pivot_rows(matrix, zero) -> list:
-    """Indices of a maximal independent row set, by Gauss-Jordan elimination."""
-    work = [list(row) for row in matrix]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    used = set()
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(len(work)) if r not in used and work[r][col]), None
-        )
-        if pivot is None:
-            continue
-        pivots.append(pivot)
-        used.add(pivot)
-        head = work[pivot][col]
-        work[pivot] = [v / head for v in work[pivot]]
-        for r in range(len(work)):
-            if r != pivot and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[pivot])]
-    return pivots
-
-
 def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     """Structure carried by the frame when it closes under the derived bracket.
 
@@ -490,7 +459,7 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     zeros = (0,) * len(space.table.even2)
     # columns index frame members, rows index the 2n odd generators
     full = [[D.matrix[c][g] for c in range(n)] for g in range(2 * n)]
-    pivots = _pivot_rows(full, zero)
+    pivots = [g for g, _ in row_reduce([list(row) for row in full], n)]
     c = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
@@ -511,9 +480,7 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
                     (a, b),
                     residual,
                 )
-            for k, t in enumerate(coeffs, start=1):
-                if not t.is_zero:
-                    c[(a, b, k)] = t
+            c.update(((a, b, k), t) for k, t in enumerate(coeffs, start=1))
     rho = {}
     for a in range(1, n + 1):
         for bb, name in enumerate(chart.names, start=1):
@@ -523,8 +490,8 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
             f = acted.terms.get(((), zeros), zero)
             if acted != SuperPoly.from_scalar(space.table, f):
                 raise InternalConsistencyError("frame anchor is not a base function")
-            if not f.is_zero:
-                rho[(a, bb)] = f
+            rho[(a, bb)] = f
+    # SkewAlgebroid drops the zero entries of c and rho
     return SkewAlgebroid(chart, n, c, rho)
 
 
@@ -541,12 +508,9 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
     ind = induced_algebroid(D, H)
     A = project_to_E(H).algebroid
     n = D.rank
-    matrix = {}
-    for a in range(1, n + 1):
-        row = D.e_components(a)
-        for i in range(1, n + 1):
-            if not row[i - 1].is_zero:
-                matrix[(a, i)] = row[i - 1]
+    matrix = {
+        (a, i): f for a in range(1, n + 1) for i, f in enumerate(D.e_components(a), start=1)
+    }
     projection = AlgebroidMorphism(ind, A, matrix)
     ok, certificate = is_morphism(projection)
     if not ok:
@@ -582,10 +546,5 @@ def verify_morphism_cor53(P: Bivector, H: Hamiltonian):
     tw = twisted_hamiltonian(P, H)
     A = project_to_E(H).algebroid
     n = P.space.split_rank
-    matrix = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            f = P.at(i, j)
-            if not f.is_zero:
-                matrix[(i, j)] = f
+    matrix = {(i, j): P.at(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     return is_morphism(AlgebroidMorphism(tw.algebroid, A, matrix))

@@ -1,10 +1,38 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
 Entries only need +, -, *, / and truthiness (nonzero test); both
-Fraction and ScalarField qualify.
+Fraction and ScalarField qualify. One Gauss-Jordan kernel, row_reduce,
+serves every entry point.
 """
 
 from __future__ import annotations
+
+
+def row_reduce(rows: list, width: int) -> list:
+    """Gauss-Jordan elimination of `rows` in place over its first `width` columns.
+
+    Rows are never swapped: each column pivots on the first row, in input
+    order, that is not yet a pivot row and has a nonzero entry there. The
+    pivot row is scaled to a leading 1 and the column is cleared in every
+    other row. Returns the (row, column) pivots in column order.
+    """
+    pivots = []
+    used = set()
+    for col in range(width):
+        pivot = next((r for r in range(len(rows)) if r not in used and rows[r][col]), None)
+        if pivot is None:
+            continue
+        pivots.append((pivot, col))
+        used.add(pivot)
+        head = rows[pivot][col]
+        rows[pivot] = [v / head for v in rows[pivot]]
+        for r in range(len(rows)):
+            if r != pivot and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot])]
+        if len(pivots) == len(rows):
+            break
+    return pivots
 
 
 def solve_linear(rows: list, rhs: list, zero):
@@ -16,33 +44,13 @@ def solve_linear(rows: list, rhs: list, zero):
         raise ValueError("shape mismatch")
     width = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot = None
-        for k in range(r, len(aug)):
-            if aug[k][col]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        head = aug[r][col]
-        aug[r] = [v / head for v in aug[r]]
-        for k in range(len(aug)):
-            if k != r and aug[k][col]:
-                factor = aug[k][col]
-                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for k in range(r, len(aug)):
-        if aug[k][width]:
-            return None
+    pivots = row_reduce(aug, width)
+    used = {r for r, _ in pivots}
+    if any(row[width] for r, row in enumerate(aug) if r not in used):
+        return None
     solution = [zero] * width
-    for row_i, col in enumerate(pivots):
-        solution[col] = aug[row_i][width]
+    for r, col in pivots:
+        solution[col] = aug[r][width]
     return solution
 
 
@@ -50,47 +58,14 @@ def invert_matrix(M: list, zero, one):
     """Inverse of a square matrix, or None when singular."""
     n = len(M)
     aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = None
-        for k in range(col, n):
-            if aug[k][col]:
-                pivot = k
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [v / head for v in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col]:
-                factor = aug[k][col]
-                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[col])]
-    return [row[n:] for row in aug]
+    pivots = row_reduce(aug, n)
+    if len(pivots) < n:
+        return None
+    # the pivot row of column c holds row c of the inverse
+    return [aug[r][n:] for r, _ in pivots]
 
 
 def matrix_rank(M: list) -> int:
     """Rank over the fraction field of the entries."""
     rows = [list(r) for r in M]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for k in range(rank, len(rows)):
-            if rows[k][col]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
-        rows[rank] = [v / head for v in rows[rank]]
-        for k in range(len(rows)):
-            if k != rank and rows[k][col]:
-                factor = rows[k][col]
-                rows[k] = [v - factor * w for v, w in zip(rows[k], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(row_reduce(rows, len(rows[0]) if rows else 0))

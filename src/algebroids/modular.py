@@ -90,15 +90,6 @@ def _structure_trace(A: SkewAlgebroid, i: int) -> ScalarField:
     return out
 
 
-def _anchor_log(A: SkewAlgebroid, i: int, g: ScalarField) -> ScalarField:
-    out = ScalarField.zero(A.chart)
-    for a in range(1, A.chart.m + 1):
-        r = A.rho_at(i, a)
-        if not r.is_zero:
-            out = out + r * g.partial(a)
-    return out / g
-
-
 def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     """Divergence of the structure differential, cross-checked against
     the structure-constant trace formula."""
@@ -112,7 +103,7 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     for i in range(1, A.rank + 1):
         coeff = _structure_trace(A, i)
         if gauge is not None:
-            coeff = coeff + _anchor_log(A, i, _coerce_scalar(A.chart, gauge))
+            coeff = coeff + A.anchor_action(A.frame_section(i), g) / g
         if not coeff.is_zero:
             closed_form = closed_form + coeff * SuperPoly.generator(table, table.odd[i - 1])
     if div != closed_form:
@@ -125,6 +116,7 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     the anchor divergence, per frame direction."""
     table = A.table()
     value = SuperPoly.zero(table)
+    g = None if gauge is None else _coerce_scalar(A.chart, gauge)
     for i in range(1, A.rank + 1):
         e_i = A.frame_section(i)
         coeff = ScalarField.zero(A.chart)
@@ -132,8 +124,8 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
             coeff = coeff + bracket_sections(A, e_i, A.frame_section(k))[k - 1]
         for a in range(1, A.chart.m + 1):
             coeff = coeff + A.rho_at(i, a).partial(a)
-        if gauge is not None:
-            coeff = coeff + _anchor_log(A, i, _coerce_scalar(A.chart, gauge))
+        if g is not None:
+            coeff = coeff + A.anchor_action(e_i, g) / g
         if not coeff.is_zero:
             value = value + coeff * SuperPoly.generator(table, table.odd[i - 1])
     return Cocycle1(A, value)
@@ -152,14 +144,20 @@ def d_of_function(A: SkewAlgebroid, f: ScalarField) -> SuperPoly:
     return A.de_rham_field().apply(SuperPoly.from_scalar(A.table(), f))
 
 
+def exact_bound(value: SuperPoly) -> int:
+    """is_exact's default degree bound: the coefficient degree of a
+    polynomial 1-cochain plus two (1 for zero)."""
+    return max((f.total_degree() for f in value.terms.values()), default=-1) + 2
+
+
 def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     """Search for a polynomial potential alpha = d f up to a degree bound.
 
     Returns (True, f) with one witness, or (False, None) when no
-    polynomial of total degree <= bound works. The default bound is the
-    coefficient degree of alpha plus two. Data must be polynomial; the
-    witness search is a finite exact linear solve, so a NO answer is a
-    proof only relative to the bound.
+    polynomial of total degree <= bound works. The default bound is
+    exact_bound(alpha). Data must be polynomial; the witness search is
+    a finite exact linear solve, so a NO answer is a proof only
+    relative to the bound.
     """
     value = alpha.value if isinstance(alpha, Cocycle1) else alpha
     if value.table != A.table():
@@ -177,7 +175,7 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     if value.is_zero:
         return True, ScalarField.zero(chart)
     if bound is None:
-        bound = max(comp.total_degree() for comp in components) + 2
+        bound = exact_bound(value)
     monos = []
     for total in range(1, bound + 1):
         for combo in combinations_with_replacement(range(chart.m), total):
@@ -185,10 +183,11 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
             for v in combo:
                 expo[v] += 1
             monos.append(tuple(expo))
+    frame = [A.frame_section(i) for i in range(1, A.rank + 1)]
     images = []
     for expo in monos:
         base = _monomial_scalar(chart, expo)
-        images.append([_anchor_poly(A, i, base) for i in range(1, A.rank + 1)])
+        images.append([A.anchor_action(e_i, base) for e_i in frame])
     keys = set()
     for i, comp in enumerate(components):
         keys.update(m for m, _ in comp.monomials())
@@ -209,15 +208,6 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     if d_of_function(A, f) != value:
         raise InternalConsistencyError("exactness witness fails verification")
     return True, f
-
-
-def _anchor_poly(A: SkewAlgebroid, i: int, f: ScalarField) -> ScalarField:
-    out = ScalarField.zero(A.chart)
-    for a in range(1, A.chart.m + 1):
-        r = A.rho_at(i, a)
-        if not r.is_zero:
-            out = out + r * f.partial(a)
-    return out
 
 
 def modular_class_of_morphism(phi) -> Cocycle1:

@@ -552,6 +552,9 @@ _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*^()/]|\S")
 # Each level of parentheses costs four Python frames in the parser, so this
 # keeps well inside the default recursion limit.
 _MAX_NESTING = 100
+# Largest exponent after '^'. Powers are built by repeated multiplication, and
+# (1 + x1)^1000 already takes seconds to parse and seconds more in every verb.
+_MAX_EXPONENT = 100
 
 
 def _tokenize(text: str):
@@ -568,6 +571,14 @@ def _tokenize(text: str):
     return toks
 
 
+def _read_int(tok: str, line: int, col: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        # past Python's int-string digit limit, or a digit int() rejects
+        raise ParseError(f"cannot read the {len(tok)}-character integer literal", line, col) from None
+
+
 class _Parser:
     """Recursive descent over the shared grammar.
 
@@ -577,7 +588,8 @@ class _Parser:
     atom   := IDENT | INT | INT '/' POSINT | '(' expr ')'
 
     '/' only builds rational literals; quotients of polynomials are not
-    part of the input language. Parentheses nest at most _MAX_NESTING deep.
+    part of the input language. Parentheses nest at most _MAX_NESTING deep
+    and exponents are at most _MAX_EXPONENT.
     """
 
     def __init__(self, text: str, resolve: Callable, const: Callable):
@@ -650,7 +662,11 @@ class _Parser:
             self.take()
             if self.peek() is None or not self.peek().isdigit():
                 self.fail("expected a nonnegative integer exponent after '^'")
-            value = value ** int(self.take()[0])
+            tok, line, col = self.take()
+            exponent = _read_int(tok, line, col)
+            if exponent > _MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {_MAX_EXPONENT}", line, col)
+            value = value ** exponent
         return value
 
     def atom(self):
@@ -668,15 +684,16 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            numerator = int(tok)
+            numerator = _read_int(tok, line, col)
             if self.peek() == "/":
                 self.take()
                 if self.peek() is None or not self.peek().isdigit():
                     self.fail("expected a positive integer after '/'")
                 dtok, dline, dcol = self.take()
-                if int(dtok) == 0:
+                denominator = _read_int(dtok, dline, dcol)
+                if denominator == 0:
                     raise ParseError("zero denominator", dline, dcol)
-                return self.const(Fraction(numerator, int(dtok)))
+                return self.const(Fraction(numerator, denominator))
             return self.const(Fraction(numerator))
         if _IDENT.match(tok):
             return self.resolve(tok, line, col)

@@ -23,7 +23,7 @@ div([X,Y]) = X(div Y) - (-1)^{|X||Y|} Y(div X) fails on mixed fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import _IDENT, BaseChart, ParseError, ScalarField, parse_expression
@@ -492,18 +492,6 @@ class SuperVectorField:
 
     def __repr__(self):
         return f"<SuperVectorField {self}>"
-
-
-def super_mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
-    return f * g
-
-
-def left_partial(f: SuperPoly, gen: str) -> SuperPoly:
-    return f.left_partial(gen)
-
-
-def apply_field(X: SuperVectorField, f: SuperPoly) -> SuperPoly:
-    return X.apply(f)
 
 
 def commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:

@@ -7,7 +7,6 @@ from algebroids.algebroid import (
     SkewAlgebroid,
     bracket_sections,
     conjugate_frame,
-    de_rham_field,
     interior_product,
     is_lie,
     is_morphism,
@@ -32,7 +31,7 @@ def tangent(chart):
 
 
 def test_de_rham_field_aff1():
-    d = de_rham_field(AFF1)
+    d = AFF1.de_rham_field()
     t = AFF1.table()
     assert d.component("y2") == parse_super("-y1*y2", t)
     assert d.component("y1").is_zero

@@ -219,9 +219,12 @@ def test_parse_problem_objects():
     assert frame.bivector() == problem.bivectors["P"]
 
 
-def _nested_rho(depth):
-    expr = "(" * depth + "x1" + ")" * depth
+def _rho_file(expr):
     return f"[chart]\ncoords = x1\n\n[algebroid a]\nrank = 1\nrho 1 1 = {expr}\n"
+
+
+def _nested_rho(depth):
+    return _rho_file("(" * depth + "x1" + ")" * depth)
 
 
 HOSTILE_FILES = [
@@ -233,13 +236,17 @@ HOSTILE_FILES = [
     ),
     ("[chart]\ncoords = x1 xi2\n", "line 2: coordinate name 'xi2' is reserved"),
     ("[chart]\ncoords = p1\n", "line 2: coordinate name 'p1' is reserved"),
+    (_rho_file("7" * 5000 + "*x1"), "line 6: cannot read the 5000-character integer literal"),
+    (_rho_file("x1^99999999"), "line 6: exponent larger than 100"),
+    (_rho_file("\u00b2*x1"), "line 6: cannot read the 1-character integer literal"),
 ]
 
 
 @pytest.mark.parametrize("content,fragment", HOSTILE_FILES, ids=lambda v: None)
 def test_hostile_files_are_input_errors(content, fragment, tmp_path, capsys):
-    """Deep nesting, bad encodings and reserved coordinate names end in
-    exit 2 with an ERROR line that names the file position."""
+    """Deep nesting, bad encodings, reserved coordinate names, unreadable
+    integer literals and exponents past the cap end in exit 2 with an
+    ERROR line that names the file position."""
     path = tmp_path / "hostile.alg"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -256,3 +263,13 @@ def test_nesting_below_the_bound_parses(tmp_path, capsys):
     path = tmp_path / "nested.alg"
     path.write_text(_nested_rho(100))
     assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
+
+
+def test_budgets_at_the_cap_answer(tmp_path, capsys):
+    path = tmp_path / "power.alg"
+    path.write_text(_rho_file("x1^100"))
+    assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
+    argv = ("exact", TM2, "tm2", "y1", "--bound")
+    assert run(argv + ("20",), capsys) == (0, "EXACT: YES, f = x1\n", "")
+    for bound in ("21", "5000"):
+        assert run(argv + (bound,), capsys) == (2, "", "ERROR: --bound must be at most 20\n")

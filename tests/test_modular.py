@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids.algebroid import AlgebroidMorphism, SkewAlgebroid, de_rham_field
+from algebroids.algebroid import AlgebroidMorphism, SkewAlgebroid
 from algebroids.errors import InternalConsistencyError
 from algebroids.modular import (
     Cocycle1,
@@ -98,9 +98,9 @@ def test_closedness():
     for _ in range(5):
         A = rand_lie(rng, CH2)
         mod = modular_cocycle(A)
-        assert de_rham_field(A).apply(mod.value).is_zero
+        assert A.de_rham_field().apply(mod.value).is_zero
     mod = modular_cocycle(NONLIE)
-    assert de_rham_field(NONLIE).apply(mod.value) == form(NONLIE, "y1*y2")
+    assert NONLIE.de_rham_field().apply(mod.value) == form(NONLIE, "y1*y2")
 
 
 def test_cocycle_validation():

@@ -8,13 +8,10 @@ from algebroids.superalg import (
     GeneratorTable,
     SuperPoly,
     SuperVectorField,
-    apply_field,
     commutator,
     divergence,
     gauge_divergence,
-    left_partial,
     parse_super,
-    super_mul,
     transport,
 )
 
@@ -34,9 +31,9 @@ def gen(name, table=T):
 
 def test_product_koszul_signs():
     y1, y2 = gen("y1"), gen("y2")
-    assert super_mul(y1, y2) == sp("y1*y2")
-    assert super_mul(y2, y1) == -sp("y1*y2")
-    assert super_mul(y1, y1).is_zero
+    assert y1 * y2 == sp("y1*y2")
+    assert y2 * y1 == -sp("y1*y2")
+    assert (y1 * y1).is_zero
     assert sp("x1*y1") * gen("p1") == gen("p1") * sp("x1*y1")
 
 
@@ -60,9 +57,9 @@ def test_associativity_randomized():
 
 
 def test_left_partial_examples():
-    assert left_partial(sp("y1*y2"), "y2") == -gen("y1")
-    assert left_partial(sp("y1*y2"), "y1") == gen("y2")
-    assert left_partial(sp("p1^2*x1"), "p1") == sp("2*p1*x1")
+    assert sp("y1*y2").left_partial("y2") == -gen("y1")
+    assert sp("y1*y2").left_partial("y1") == gen("y2")
+    assert sp("p1^2*x1").left_partial("p1") == sp("2*p1*x1")
 
 
 def test_left_partial_odd_square_and_anticommute():
@@ -89,7 +86,7 @@ def test_left_partial_leibniz():
 
 def test_apply_field_examples():
     X = SuperVectorField(T, {"x1": SuperPoly.from_scalar(T, 1)})
-    assert apply_field(X, sp("x1*y1")) == gen("y1")
+    assert X.apply(sp("x1*y1")) == gen("y1")
     Y = SuperVectorField(T, {"y2": gen("y1")})
     assert Y.apply(gen("y2")) == gen("y1")
     assert Y.apply(sp("y1*y2")).is_zero
