@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import sys
+from math import comb
 
 from .algebroid import AlgebroidMorphism, SkewAlgebroid, is_lie, is_morphism
 from .courant import (
@@ -48,10 +49,18 @@ class CliError(Exception):
     """Input error; the message is printed to stderr and the exit code is 2."""
 
 
-# Largest degree bound `exact` accepts. The witness search solves for one
-# unknown per monomial of degree <= bound, about bound**m / m! of them on an
-# m-coordinate chart; at 20 the plane takes under a second.
-_MAX_BOUND = 20
+# Budget of `exact`: its witness search solves for one unknown per
+# nonconstant monomial of degree <= bound, C(m + bound, m) - 1 of them on an
+# m-coordinate chart. 230 is the plane's count at bound 20, under a second.
+_MAX_UNKNOWNS = 230
+
+
+def _max_bound(m: int) -> int:
+    """Largest degree bound whose witness search fits the budget."""
+    bound = 0
+    while comb(m + bound + 1, m) - 1 <= _MAX_UNKNOWNS:
+        bound += 1
+    return bound
 
 
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -431,10 +440,13 @@ def _cmd_exact(problem, names, options):
             raise CliError("--bound must be an integer") from None
         if bound < 1:
             raise CliError("--bound must be at least 1")
-        if bound > _MAX_BOUND:
-            raise CliError(f"--bound must be at most {_MAX_BOUND}")
+        over = ""
     else:
         bound = exact_bound(value)
+        over = f"default degree bound {bound} is over budget; "
+    cap = _max_bound(problem.chart.m)
+    if bound > cap:
+        raise CliError(f"{over}--bound must be at most {cap}")
     try:
         flag, witness = is_exact(A, cocycle, bound)
     except ValueError as e:
@@ -494,9 +506,9 @@ def _cmd_project(problem, names, options):
     if not is_projectable(H):
         print(_not_projectable(H))
         return 1
-    projection = project_to_E(H)
-    print(f"PROJECTED ALGEBROID: rank {projection.algebroid.rank}")
-    for line in _structure_lines(projection.algebroid):
+    A = project_to_E(H)
+    print(f"PROJECTED ALGEBROID: rank {A.rank}")
+    for line in _structure_lines(A):
         print(line)
     print(f"HOMOLOGICAL: {'YES' if hamiltonian_square(H).is_zero else 'NO'}")
     return 0
@@ -518,7 +530,7 @@ def _cmd_twisted_bracket(problem, names, options):
     if not flag:
         print(failure)
         return 1
-    A = project_to_E(H).algebroid
+    A = project_to_E(H)
     alpha = _parse_covector_arg(names[2], A, "covector")
     beta = _parse_covector_arg(names[3], A, "covector")
     print(f"TWISTED BRACKET: {twisted_bracket(P, H, alpha, beta)}")

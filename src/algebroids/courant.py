@@ -38,7 +38,7 @@ from .algebroid import SkewAlgebroid, _coerce_scalar
 from .errors import InternalConsistencyError
 from .linalg import invert_matrix
 from .scalar import BaseChart, ScalarField
-from .superalg import GeneratorTable, SuperPoly, SuperVectorField, transport
+from .superalg import GeneratorTable, SuperPoly, SuperVectorField
 
 
 class SymplecticSpace2:
@@ -146,7 +146,7 @@ def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> Supe
 class Hamiltonian:
     """A degree-3 element generating the derived bracket calculus."""
 
-    __slots__ = ("space", "value")
+    __slots__ = ("space", "value", "_memo")
 
     def __init__(self, space: SymplecticSpace2, value: SuperPoly):
         if value.table != space.table:
@@ -155,6 +155,7 @@ class Hamiltonian:
             raise ValueError("Hamiltonians must be homogeneous of degree 3")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Hamiltonian is immutable")
@@ -271,64 +272,59 @@ def bidegree_split(H: Hamiltonian) -> BidegreeParts:
     )
 
 
-def _projectable_components(H: Hamiltonian):
-    """(flag, components): gamma = psi = 0, cross-checked against the
-    direct field criterion that {H, x^a} and {H, y^i} involve y only.
+def _projection(H: Hamiltonian) -> SkewAlgebroid | None:
+    """The algebroid on E that H projects onto, or None; once per H.
 
-    components maps each x and y name to its computed bracket; when the
-    field criterion fails, the scan stops at the first offending name.
+    Projectability is gamma = psi = 0, cross-checked against the direct
+    field criterion that {H, x^a} and {H, y^i} involve y only. When both
+    hold, those brackets are the anchor and structure functions.
     """
+    if "projection" in H._memo:
+        return H._memo["projection"]
     parts = bidegree_split(H)
     by_type = parts.gamma.value.is_zero and parts.psi.value.is_zero
     space = H.space
-    table = space.table
-    allowed = set(space.zeta[: space.split_rank])
-    by_field = True
-    comps = {}
-    for name in (*space.chart.names, *space.zeta[: space.split_rank]):
-        comp = poisson_bracket(H.value, SuperPoly.generator(table, name), space)
-        comps[name] = comp
+    n = space.split_rank
+    allowed = set(space.zeta[:n])
+    brackets = {}
+    for name in (*space.chart.names, *space.zeta[:n]):
+        comp = poisson_bracket(H.value, SuperPoly.generator(space.table, name), space)
         if not comp.generator_names() <= allowed:
-            by_field = False
             break
+        brackets[name] = comp
+    by_field = len(brackets) == space.chart.m + n
     if by_type != by_field:
         raise InternalConsistencyError("projectability criteria disagree")
-    return by_type, comps
+    algebroid = None
+    if by_type:
+        # only y^1..y^n occur, at odd indices 0..n-1
+        c = {
+            (odd[0] + 1, odd[1] + 1, k): -coeff
+            for k in range(1, n + 1)
+            for (odd, _even), coeff in brackets[space.y_name(k)].terms.items()
+        }
+        rho = {
+            (odd[0] + 1, b): coeff
+            for b, x_name in enumerate(space.chart.names, start=1)
+            for (odd, _even), coeff in brackets[x_name].terms.items()
+        }
+        algebroid = SkewAlgebroid(space.chart, n, c, rho)
+    H._memo["projection"] = algebroid
+    return algebroid
 
 
 def is_projectable(H: Hamiltonian) -> bool:
     """gamma = psi = 0; cross-checked against the direct field criterion."""
-    return _projectable_components(H)[0]
+    return _projection(H) is not None
 
 
-Projection = namedtuple("Projection", "field algebroid")
+def project_to_E(H: Hamiltonian) -> SkewAlgebroid:
+    """The algebroid read off the brackets {H, x^a} and {H, y^i}.
 
-
-def project_to_E(H: Hamiltonian) -> Projection:
-    """Push the Hamiltonian field down to the (x, y) generators.
-
-    Returns the projected field and the algebroid read off from it; the
-    brackets {H, x^a} and {H, y^i} are the ones the projectability check
-    computed.
+    The same object comes back on every call with the same H, so its
+    memoised de Rham field and tables are shared by every caller.
     """
-    ok, brackets = _projectable_components(H)
-    if not ok:
+    algebroid = _projection(H)
+    if algebroid is None:
         raise ValueError("Hamiltonian is not projectable")
-    space = H.space
-    n = space.split_rank
-    form_table = GeneratorTable(space.chart, odd=space.zeta[:n])
-    comps = {name: transport(comp, form_table) for name, comp in brackets.items()}
-    field = SuperVectorField(form_table, comps)
-    c = {}
-    for k in range(1, n + 1):
-        comp = comps[space.y_name(k)]
-        for (odd, _even), coeff in comp.terms.items():
-            i, j = odd[0] + 1, odd[1] + 1
-            c[(i, j, k)] = -coeff
-    rho = {}
-    for b, x_name in enumerate(space.chart.names, start=1):
-        comp = comps[x_name]
-        for (odd, _even), coeff in comp.terms.items():
-            rho[(odd[0] + 1, b)] = coeff
-    algebroid = SkewAlgebroid(space.chart, n, c, rho)
-    return Projection(field, algebroid)
+    return algebroid

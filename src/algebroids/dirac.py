@@ -40,7 +40,6 @@ from .courant import (
     anchor_apply,
     bidegree_split,
     derived_bracket,
-    is_projectable,
     poisson_bracket,
     project_to_E,
 )
@@ -295,12 +294,10 @@ def quasi_poisson_check(P: Bivector, H: Hamiltonian):
     space = H.space
     if P.space != space:
         raise ValueError("bivector and Hamiltonian live on different spaces")
-    if not is_projectable(H):
-        raise ValueError("Hamiltonian is not projectable")
+    A = project_to_E(H)
     flowed = gauge_transform(H.value, P)
     path1 = _xi_restriction(space, flowed)
 
-    A = project_to_E(H).algebroid
     pmv = transport(P.value, A.mv_table())
     square = schouten(A, pmv, pmv)
     phi_raw = bidegree_split(H).phi.value
@@ -380,7 +377,7 @@ def twisted_bracket(P: Bivector, H: Hamiltonian, alpha, beta) -> SuperPoly:
     the pinned phi sign); a mismatch raises.
     """
     tw = twisted_hamiltonian(P, H)
-    A = project_to_E(H).algebroid
+    A = project_to_E(H)
     table = A.table()
     a = _form_components(A, alpha)
     b = _form_components(A, beta)
@@ -506,18 +503,15 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
     drops rank on a hypersurface get the class away from that locus.
     """
     ind = induced_algebroid(D, H)
-    A = project_to_E(H).algebroid
+    A = project_to_E(H)
     n = D.rank
     matrix = {
         (a, i): f for a in range(1, n + 1) for i, f in enumerate(D.e_components(a), start=1)
     }
-    projection = AlgebroidMorphism(ind, A, matrix)
-    ok, certificate = is_morphism(projection)
-    if not ok:
-        raise InternalConsistencyError(
-            f"frame projection fails the morphism law at {certificate[0]}"
-        )
-    rel = modular_class_of_morphism(projection)
+    try:
+        rel = modular_class_of_morphism(AlgebroidMorphism(ind, A, matrix))
+    except ValueError as exc:
+        raise InternalConsistencyError(f"frame projection: {exc}") from exc
     if D.is_graph():
         P = D.bivector()
         tw = twisted_hamiltonian(P, H)
@@ -544,7 +538,7 @@ def verify_morphism_cor53(P: Bivector, H: Hamiltonian):
     where the intertwining law breaks.
     """
     tw = twisted_hamiltonian(P, H)
-    A = project_to_E(H).algebroid
+    A = project_to_E(H)
     n = P.space.split_rank
     matrix = {(i, j): P.at(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     return is_morphism(AlgebroidMorphism(tw.algebroid, A, matrix))

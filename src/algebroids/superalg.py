@@ -368,31 +368,27 @@ class SuperPoly:
         return f"<SuperPoly {self}>"
 
 
-def transport(f: SuperPoly, table: GeneratorTable, rename: dict | None = None) -> SuperPoly:
+def transport(f: SuperPoly, table: GeneratorTable) -> SuperPoly:
     """Move a value onto another table over the same chart, by name.
 
-    Every generator appearing in f must map (via rename, default identity)
-    to a generator of the same kind in the target table; index reordering
-    signs are accounted for.
+    Every generator appearing in f must be a generator of the same kind in
+    the target table; index reordering signs are accounted for.
     """
     if f.table.chart != table.chart:
         raise ValueError("charts differ")
-    rename = rename or {}
     terms: dict = {}
     for (odd, even), c in f.terms.items():
-        new = [table.role(rename.get(f.table.odd[i], f.table.odd[i])) for i in odd]
+        new = [table.role(f.table.odd[i]) for i in odd]
         if any(kind != "odd" for kind, _ in new):
             raise ValueError("odd generator mapped onto a non-odd name")
         idx = [i for _, i in new]
-        if len(set(idx)) != len(idx):
-            raise ValueError("generator renaming is not injective")
         inversions = sum(
             1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if idx[a] > idx[b]
         )
         ee = [0] * len(table.even2)
         for name, e in zip(f.table.even2, even):
             if e:
-                kind, i = table.role(rename.get(name, name))
+                kind, i = table.role(name)
                 if kind != "even2":
                     raise ValueError("even generator mapped onto a non-even name")
                 ee[i] += e
@@ -410,36 +406,24 @@ def transport(f: SuperPoly, table: GeneratorTable, rename: dict | None = None) -
 class SuperVectorField:
     """Graded derivation given by its components on coordinates/generators."""
 
-    __slots__ = ("table", "components", "parity", "degree")
+    __slots__ = ("table", "components", "parity")
 
     def __init__(self, table: GeneratorTable, components: dict):
         comps = {}
         parities = set()
-        degrees = set()
         for name, value in components.items():
-            kind = table.role(name)[0]
+            d = table.degree_of(name)
             if not isinstance(value, SuperPoly) or value.table != table:
                 raise ValueError(f"component for {name!r} has the wrong table")
             if value.is_zero:
                 continue
-            d = table.degree_of(name)
             parities.add((value.parity() - d) & 1)
-            try:
-                degrees.add(value.degree() - d)
-            except ValueError:
-                degrees.add(None)
             comps[name] = value
         if len(parities) > 1:
             raise ValueError("components of mixed parity")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "parity", parities.pop() if parities else 0)
-        if len(degrees) == 1 and None not in degrees:
-            object.__setattr__(self, "degree", degrees.pop())
-        elif not degrees:
-            object.__setattr__(self, "degree", 0)
-        else:
-            object.__setattr__(self, "degree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperVectorField is immutable")

@@ -225,7 +225,7 @@ def test_criterion_07_homological_iff_jacobi_and_twist_witness():
         chart = CHARTS[trial % 4]
         A = rand_lie(rng, chart) if trial % 3 == 0 else rand_skew(rng, chart)
         H = algebroid_hamiltonian(A)
-        back = project_to_E(H).algebroid
+        back = project_to_E(H)
         assert back.c == A.c and back.rho == A.rho
         square_zero = hamiltonian_square(H).is_zero
         lie = is_lie(back)[0]
@@ -380,7 +380,7 @@ def test_criterion_12_projection_intertwines_differentials():
     frames.append((bfield, algebroid_hamiltonian(tm2, sp2)))
     for frame, H in frames:
         induced = induced_algebroid(frame, H)
-        target = project_to_E(H).algebroid
+        target = project_to_E(H)
         matrix = {}
         for a in range(1, induced.rank + 1):
             for j, comp in enumerate(frame.e_components(a), start=1):

@@ -36,7 +36,7 @@ def test_de_rham_field_aff1():
     assert d.component("y2") == parse_super("-y1*y2", t)
     assert d.component("y1").is_zero
     assert d.component("x1").is_zero
-    assert d.parity == 1 and d.degree == 1
+    assert d.parity == 1
 
 
 def test_de_rham_field_tangent_and_zero():

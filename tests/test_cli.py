@@ -273,3 +273,15 @@ def test_budgets_at_the_cap_answer(tmp_path, capsys):
     assert run(argv + ("20",), capsys) == (0, "EXACT: YES, f = x1\n", "")
     for bound in ("21", "5000"):
         assert run(argv + (bound,), capsys) == (2, "", "ERROR: --bound must be at most 20\n")
+
+
+def test_exact_budget_scales_with_the_chart(capsys):
+    """The witness search is capped at 230 unknowns, C(m + bound, m) - 1,
+    whether the bound is given or defaulted: bound 20 on the plane, 6 on a
+    4-coordinate chart."""
+    over = "ERROR: default degree bound {} is over budget; --bound must be at most {}\n"
+    assert run(("exact", TM2, "tm2", "x1^60*y1"), capsys) == (2, "", over.format(62, 20))
+    assert run(("exact", R4, "tm4", "x1^10*y1"), capsys) == (2, "", over.format(12, 6))
+    argv = ("exact", R4, "tm4", "y1", "--bound")
+    assert run(argv + ("6",), capsys) == (0, "EXACT: YES, f = x1\n", "")
+    assert run(argv + ("7",), capsys) == (2, "", "ERROR: --bound must be at most 6\n")

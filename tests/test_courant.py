@@ -390,8 +390,8 @@ def test_hamiltonian_validation():
     assert hamiltonian_square(zero_h).is_zero
     assert is_projectable(zero_h)
     proj = project_to_E(zero_h)
-    assert proj.field.is_zero
-    assert proj.algebroid.c == {} and proj.algebroid.rho == {}
+    assert proj.de_rham_field().is_zero
+    assert proj.c == {} and proj.rho == {}
 
 
 def test_bidegree_split_partition():
@@ -436,14 +436,14 @@ def test_project_round_trip():
     for A in pool:
         H = algebroid_hamiltonian(A)
         proj = project_to_E(H)
-        assert proj.field == A.de_rham_field()
-        assert proj.algebroid.c == A.c
-        assert proj.algebroid.rho == A.rho
+        assert proj.de_rham_field() == A.de_rham_field()
+        assert proj.c == A.c
+        assert proj.rho == A.rho
         assert hamiltonian_square(H).is_zero == is_lie(A)[0]
     # a projectable twist leaves the projected data alone but keeps its square
     sp = split_space(CH4, 4)
     rho = {(i, i): 1 for i in range(1, 5)}
     H = standard_hamiltonian(sp, rho, {(1, 2, 3): parse_scalar("x4", CH4)})
     proj = project_to_E(H)
-    assert proj.algebroid.c == {}
+    assert proj.c == {}
     assert not hamiltonian_square(H).is_zero

@@ -1,17 +1,19 @@
 """Bivector graphs, gauge flows, twists, induced brackets, relative classes."""
 
 import random
-
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from algebroids import courant
 from algebroids.algebroid import SkewAlgebroid, bracket_sections
 from algebroids.courant import (
     Hamiltonian,
     algebroid_hamiltonian,
     hamiltonian_square,
     poisson_bracket,
+    project_to_E,
     split_space,
 )
 from algebroids.dirac import (
@@ -438,3 +440,26 @@ def test_bfield_frame_induces_base_structure():
     assert ind.rho == TM2.rho
     rel = relative_modular_class(D, H)
     assert rel.is_zero
+
+
+def test_one_projection_per_hamiltonian(monkeypatch):
+    """The Dirac chain shares the one projection courant derives per H:
+    each projectability bracket {H, x^a}, {H, y^i} runs a single time."""
+    H = mu_ham(TM2, SP2)
+    P = Bivector(SP2, {(1, 2): x(CH2, "x1")})
+    generators = {n: SuperPoly.generator(SP2.table, n) for n in ("x1", "x2", "y1", "y2")}
+    runs = Counter()
+    bracket = courant.poisson_bracket
+
+    def counting(F, G, space):
+        if F is H.value:
+            runs.update(n for n, g in generators.items() if G == g)
+        return bracket(F, G, space)
+
+    monkeypatch.setattr(courant, "poisson_bracket", counting)
+    assert project_to_E(H) is project_to_E(H)
+    assert quasi_poisson_check(P, H)[0]
+    twisted_bracket(P, H, (1, 0), (0, 1))
+    relative_modular_class(graph_frame(P), H)
+    assert verify_morphism_cor53(P, H)[0]
+    assert runs == Counter(generators.keys())

@@ -216,15 +216,14 @@ def test_transport_sign():
     assert next(iter(g.terms.values())) == ScalarField.const(CH, -1)
 
 
-def test_transport_rename_and_errors():
+def test_transport_round_trip_and_errors():
     A = GeneratorTable(CH, odd=("a", "b"))
+    wider = GeneratorTable(CH, odd=("c", "b", "a"), even2=("q",))
     f = SuperPoly.generator(A, "a") * SuperPoly.generator(A, "b")
-    back = transport(transport(f, T, {"a": "y1", "b": "y3"}), A, {"y1": "a", "y3": "b"})
-    assert back == f
-    with pytest.raises(ValueError):
-        transport(f, T, {"a": "y1", "b": "y1"})
-    with pytest.raises(ValueError):
-        transport(f, T, {"a": "p1", "b": "y1"})
+    assert transport(transport(f, wider), A) == f
+    # "a" is even in the target table
+    with pytest.raises(ValueError, match="non-odd"):
+        transport(f, GeneratorTable(CH, odd=("b",), even2=("a",)))
 
 
 def test_parse_super_round_trip():
