@@ -14,10 +14,16 @@ reaches a coprime pair with a monic denominator gives the same bytes as the
 full reduction. Arithmetic therefore runs a gcd only where coprimality is
 not already known:
 
-- ``_pgcd`` answers the trivial cases before its primitive PRS (Brown,
-  1971), also inside its own content recursion: a constant operand gives 1,
-  a single-term operand gives the monic monomial of least exponents, and
-  equal operands give the monic operand.
+- ``_pgcd`` returns the monic gcd with both cofactors, so no division
+  follows it. A constant operand gives 1, a single-term operand the monic
+  monomial of least exponents, equal operands the monic operand. Other
+  operands, denominators cleared, go to GCDHEU (Char, Geddes and Gonnet,
+  1989): variables are set to integers one at a time and the gcd of the
+  images is interpolated back. A candidate counts only once exact trial
+  division over the integers shows it divides both operands, which also
+  yields the cofactors; as every evaluation point exceeds twice the smaller
+  coefficient norm, it is then the gcd itself. Where six points fail or the
+  images grow too large, the primitive PRS (Brown, 1971) answers instead.
 - A constant denominator is only scaled; its gcd with anything is 1.
 - ``partial`` of ``a/b`` takes ``g = gcd(b, b')`` with ``b = g*h`` and
   ``b' = g*e``: the quotient rule gives ``(a'*h - a*e) / (b*h)``, where
@@ -38,6 +44,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, isqrt, lcm
+from operator import add, sub
 from typing import Callable, Iterator
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -194,7 +202,7 @@ def _is_const(p: dict) -> bool:
 def _content(p: dict, v: int) -> dict:
     cont: dict = {}
     for q in _split_var(p, v).values():
-        cont = _pgcd(cont, q)
+        cont = _prs(cont, q)
         if _is_const(cont):
             break
     return cont
@@ -215,8 +223,8 @@ def _prem(a: dict, b: dict, v: int) -> dict:
     return r
 
 
-def _pgcd(a: dict, b: dict) -> dict:
-    """Monic gcd of two polynomials (trivial cases, then primitive PRS)."""
+def _prs(a: dict, b: dict) -> dict:
+    """Monic gcd of two polynomials by the primitive PRS (Brown, 1971)."""
     if not a:
         return _pmonic(b)
     if not b:
@@ -234,9 +242,9 @@ def _pgcd(a: dict, b: dict) -> dict:
     if da == 0 or db == 0:
         ca = a if da == 0 else _content(a, v)
         cb = b if db == 0 else _content(b, v)
-        return _pgcd(ca, cb)
+        return _prs(ca, cb)
     ca, cb = _content(a, v), _content(b, v)
-    c = _pgcd(ca, cb)
+    c = _prs(ca, cb)
     big = _pdiv_exact(a, ca)
     small = _pdiv_exact(b, cb)
     if _pdeg_in(big, v) < _pdeg_in(small, v):
@@ -252,11 +260,131 @@ def _pgcd(a: dict, b: dict) -> dict:
     return _pmonic(_pmul(c, g))
 
 
-def _cofactors(g: dict, a: dict, b: dict) -> tuple[dict, dict]:
-    """a/g and b/g for a common factor g."""
-    if _is_const(g):
-        return a, b
-    return _pdiv_exact(a, g), _pdiv_exact(b, g)
+# GCDHEU works on polynomial dicts with int coefficients. It tries this many
+# points per variable and gives up before an image passes _HEU_BITS bits: each
+# variable set multiplies the size by its degree, so (x1*x2*x3*x4)^40 + x1 is
+# left to the PRS, while dense pairs with 12-digit coefficients need 2^17.
+_HEU_POINTS = 6
+_HEU_BITS = 2**18
+
+
+def _zdiv(a: dict, b: dict) -> dict | None:
+    """Exact quotient a/b over the integers, or None if b does not divide a.
+    Plain tuple order (lex) picks leading terms: any order gives the same."""
+    q: dict = {}
+    r = dict(a)
+    lb = max(b)
+    cb = b[lb]
+    while r:
+        lr = max(r)
+        m = tuple(map(sub, lr, lb))
+        cq, rem = divmod(r[lr], cb)
+        if rem or min(m) < 0:
+            return None
+        q[m] = cq
+        for mb, c in b.items():
+            mm = tuple(map(add, m, mb))
+            s = r.get(mm, 0) - cq * c
+            if s:
+                r[mm] = s
+            else:
+                r.pop(mm, None)
+    return q
+
+
+def _zeval(p: dict, v: int, x: int) -> dict:
+    """p with x_v set to the integer x."""
+    out: dict = {}
+    for m, c in p.items():
+        mm = m[:v] + (0,) + m[v + 1 :]
+        out[mm] = out.get(mm, 0) + c * x ** m[v]
+    return {m: c for m, c in out.items() if c}
+
+
+def _zinterp(p: dict, v: int, x: int) -> dict:
+    """The polynomial with coefficients in [-x/2, x/2) whose value at
+    x_v = x is p: the balanced base-x digits of each coefficient."""
+    out: dict = {}
+    half = x // 2
+    for m, c in p.items():
+        i = 0
+        while c:
+            d = (c + half) % x - half
+            if d:
+                out[m[:v] + (i,) + m[v + 1 :]] = d
+            c, i = (c - d) // x, i + 1
+    return out
+
+
+def _heu(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """(h, f/h, g/h) for h = gcd(f, g) of nonzero integer polynomials, or
+    None when the points or _HEU_BITS run out. The last variable is set to x
+    and the gcd of the images, taken recursively, interpolated back; the
+    module docstring says why a candidate dividing f and g is the gcd."""
+    vs = _pvars(f) | _pvars(g)
+    if not vs:
+        ((z, a),), (b,) = f.items(), g.values()
+        h = gcd(a, b)
+        return {z: h}, {z: a // h}, {z: b // h}
+    v = max(vs)
+    cont = gcd(*f.values(), *g.values())
+    if cont > 1:
+        f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
+    x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    deg = max(_pdeg_in(f, v), _pdeg_in(g, v))
+    for _ in range(_HEU_POINTS):
+        if x.bit_length() * deg > _HEU_BITS:
+            return None
+        ff, gg = _zeval(f, v, x), _zeval(g, v, x)
+        if ff and gg and (images := _heu(ff, gg)) is not None:
+            h = _zinterp(images[0], v, x)
+            hc = gcd(*h.values())
+            h = {m: c // hc for m, c in h.items()}
+            if _is_const(h):  # 1 or -1, which divides anything
+                return {next(iter(h)): cont}, f, g
+            cf = _zdiv(f, h)
+            cg = None if cf is None else _zdiv(g, h)
+            if cg is not None:
+                return {m: c * cont for m, c in h.items()}, cf, cg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _zclear(p: dict) -> tuple[dict, Fraction]:
+    """(P, k) with p = k*P and P an integer polynomial."""
+    den = lcm(*(c.denominator for c in p.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, Fraction(1, den)
+
+
+def _pgcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
+    """(g, a/g, b/g) for the monic gcd g of two polynomials, not both zero:
+    trivial operands directly, then GCDHEU, then the PRS if that gives up."""
+    if not a or not b:
+        p = a or b
+        unit = {(0,) * len(_plead(p)): p[_plead(p)]}
+        return _pmonic(p), a and unit, b and unit
+    if _is_const(a) or _is_const(b):
+        return {(0,) * len(next(iter(a))): _F1}, a, b
+    if len(a) == 1 or len(b) == 1:
+        # a monomial divides a polynomial iff it divides every term
+        lo = tuple(map(min, *a, *b))
+        a, b = ({tuple(map(sub, m, lo)): c for m, c in p.items()} for p in (a, b))
+        return {lo: _F1}, a, b
+    one = (0,) * len(next(iter(a)))
+    if a == b:
+        unit = {one: a[_plead(a)]}
+        return _pmonic(a), unit, unit
+    (fa, ka), (fb, kb) = _zclear(a), _zclear(b)
+    if (found := _heu(fa, fb)) is None:
+        g = _prs(a, b)
+        return g, _pdiv_exact(a, g), _pdiv_exact(b, g)
+    h, ca, cb = found
+    if _is_const(h):
+        return {one: _F1}, a, b
+    lc = h[_plead(h)]
+    ka, kb = ka * lc, kb * lc
+    g = {m: Fraction(c, lc) for m, c in h.items()}
+    return g, {m: ka * c for m, c in ca.items()}, {m: kb * c for m, c in cb.items()}
 
 
 def _monic_den(num: dict, den: dict) -> tuple[dict, dict]:
@@ -281,7 +409,7 @@ class ScalarField:
         if not num:
             den = {(0,) * chart.m: _F1}
         else:
-            num, den = _monic_den(*_cofactors(_pgcd(num, den), num, den))
+            num, den = _monic_den(*_pgcd(num, den)[1:])
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -373,14 +501,14 @@ class ScalarField:
         if b == d:
             g, t, den = b, _padd(a, c), b
         else:
-            g = _pgcd(b, d)
-            bg, dg = _cofactors(g, b, d)
+            g, bg, dg = _pgcd(b, d)
             t = _padd(_pmul(a, dg), _pmul(c, bg))
             den = _pmul(b, dg)
         if not t:
             return ScalarField.zero(self.chart)
         # a, c are coprime to b, d, so t can share a factor with g only
-        t, den = _cofactors(_pgcd(t, g), t, den)
+        q, t, _ = _pgcd(t, g)
+        den = den if _is_const(q) else _pdiv_exact(den, q)
         return ScalarField._canonical(self.chart, t, den)
 
     def _times(self, c: dict, d: dict) -> "ScalarField":
@@ -388,8 +516,8 @@ class ScalarField:
         a, b = self.num, self.den
         if not a or not c:
             return ScalarField.zero(self.chart)
-        a, d = _cofactors(_pgcd(a, d), a, d)
-        c, b = _cofactors(_pgcd(c, b), c, b)
+        _, a, d = _pgcd(a, d)
+        _, c, b = _pgcd(c, b)
         num, den = _monic_den(_pmul(a, c), _pmul(b, d))
         return ScalarField._canonical(self.chart, num, den)
 
@@ -503,12 +631,12 @@ class ScalarField:
         # quotient rule gives t/(b*h) with t = a'*h - a*e. As a and e are
         # coprime to h, only gcd(t, g) can be left to cancel.
         db = d(b)
-        g = _pgcd(b, db)
-        h, e = _cofactors(g, b, db)
+        g, h, e = _pgcd(b, db)
         t = _psub(_pmul(d(a), h), _pmul(a, e))
         if not t:
             return ScalarField.zero(self.chart)
-        t, den = _cofactors(_pgcd(t, g), t, _pmul(b, h))
+        q, t, _ = _pgcd(t, g)
+        den = _pmul(b, h) if _is_const(q) else _pdiv_exact(_pmul(b, h), q)
         return ScalarField._canonical(self.chart, t, den)
 
     # printing
@@ -555,6 +683,17 @@ _MAX_NESTING = 100
 # Largest exponent after '^'. Powers are built by repeated multiplication, and
 # (1 + x1)^1000 already takes seconds to parse and seconds more in every verb.
 _MAX_EXPONENT = 100
+# Most terms a parsed value may have. Bivector entries cost the most: on the
+# plane with P 1 2 = (1 + x1 + x2)^6, 28 terms, relative-modular takes 0.2 s,
+# and with ^7, 36 terms, 0.3 s.
+_MAX_TERMS = 30
+
+
+def _term_count(value) -> int:
+    """Terms of a parsed value, summed over the coefficients of a super one."""
+    if isinstance(value, ScalarField):
+        return len(value.num)
+    return sum(len(c.num) for c in value.terms.values())
 
 
 def _tokenize(text: str):
@@ -588,8 +727,10 @@ class _Parser:
     atom   := IDENT | INT | INT '/' POSINT | '(' expr ')'
 
     '/' only builds rational literals; quotients of polynomials are not
-    part of the input language. Parentheses nest at most _MAX_NESTING deep
-    and exponents are at most _MAX_EXPONENT.
+    part of the input language. Parentheses nest at most _MAX_NESTING deep,
+    exponents are at most _MAX_EXPONENT, and every value has at most
+    _MAX_TERMS terms; a power is refused before it is expanded when it could
+    have more.
     """
 
     def __init__(self, text: str, resolve: Callable, const: Callable):
@@ -621,6 +762,11 @@ class _Parser:
     def fail(self, message: str):
         raise ParseError(message, *self.loc())
 
+    def bounded(self, value, line: int, col: int):
+        if _term_count(value) > _MAX_TERMS:
+            raise ParseError(f"expression has more than {_MAX_TERMS} terms", line, col)
+        return value
+
     def parse(self):
         value = self.expr()
         if self.peek() is not None:
@@ -638,7 +784,7 @@ class _Parser:
         if negate:
             value = -value
         while self.peek() in ("+", "-"):
-            op = self.take()[0]
+            op, line, col = self.take()
             negate = False
             if self.peek() == "-":
                 self.take()
@@ -646,14 +792,14 @@ class _Parser:
             rhs = self.term()
             if negate:
                 rhs = -rhs
-            value = value + rhs if op == "+" else value - rhs
+            value = self.bounded(value + rhs if op == "+" else value - rhs, line, col)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
-            self.take()
-            value = value * self.factor()
+            _, line, col = self.take()
+            value = self.bounded(value * self.factor(), line, col)
         return value
 
     def factor(self):
@@ -666,6 +812,10 @@ class _Parser:
             exponent = _read_int(tok, line, col)
             if exponent > _MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {_MAX_EXPONENT}", line, col)
+            # n terms give at most C(n + k - 1, k) terms in the k-th power
+            n = _term_count(value)
+            if n and comb(n + exponent - 1, exponent) > _MAX_TERMS:
+                raise ParseError(f"power has more than {_MAX_TERMS} terms", line, col)
             value = value ** exponent
         return value
 

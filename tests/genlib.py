@@ -35,6 +35,27 @@ def rand_scalar(rng, chart: BaseChart, deg=2) -> ScalarField:
     return rand_poly(rng, chart, deg) / rand_poly_nonzero(rng, chart, deg=1, terms=2)
 
 
+def dense_rational_skew(rng, chart: BaseChart, n: int) -> SkewAlgebroid:
+    """Every c_ij^k (i < j) and rho_i^a nonzero, each (a + b*x_v)/(d + x_w)
+    with nonzero a, b, d in -3..3 and 5..7 and w != v, so that sums need
+    gcds in several coordinates."""
+    m = chart.m
+    x = [ScalarField.coord(chart, name) for name in chart.names]
+    slot = 0
+
+    def entry(v):
+        nonlocal slot
+        slot += 1
+        w = (v + 1 + slot % (m - 1)) % m
+        a, b = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2))
+        return (a + b * x[v]) / (5 + slot % 3 + x[w])
+
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    c = {(i, j, k): entry((i + j + k) % m) for i, j in pairs for k in range(1, n + 1)}
+    rho = {(i, a): entry((i + a) % m) for i in range(1, n + 1) for a in range(1, m + 1)}
+    return SkewAlgebroid(chart, n, c, rho)
+
+
 def _rand_monomial(rng, table: GeneratorTable, degree: int) -> SuperPoly:
     """One random generator monomial of the exact total degree, or zero."""
     n_odd, n_even = len(table.odd), len(table.even2)

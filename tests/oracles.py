@@ -110,3 +110,28 @@ def schouten_oracle(A: SkewAlgebroid, U: SuperPoly, V: SuperPoly) -> SuperPoly:
         for (oddV, _ev), g in V.terms.items():
             out = out + _term_bracket(A, f, oddU, g, oddV)
     return out
+
+
+def is_lie_oracle(A: SkewAlgebroid) -> bool:
+    """Jacobi identity on frame triples and the anchor as a bracket morphism
+    on coordinates, each bracket taken by the wedge-Leibniz oracle. Both
+    together make A Lie, since the Jacobiator of (X, Y, fZ) is f times that
+    of (X, Y, Z) plus (rho[X, Y] - [rho X, rho Y])(f) Z."""
+    table = A.mv_table()
+    xi = [SuperPoly.generator(table, name) for name in table.odd]
+    coords = [SuperPoly.from_scalar(table, ScalarField.coord(A.chart, name)) for name in A.chart.names]
+
+    def br(U, V):
+        return schouten_oracle(A, U, V)
+
+    n = A.rank
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                a, b, c = xi[i], xi[j], xi[k]
+                if not (br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))).is_zero:
+                    return False
+            for x in coords:
+                if not (br(xi[i], br(xi[j], x)) - br(xi[j], br(xi[i], x)) - br(br(xi[i], xi[j]), x)).is_zero:
+                    return False
+    return True

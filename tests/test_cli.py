@@ -239,14 +239,17 @@ HOSTILE_FILES = [
     (_rho_file("7" * 5000 + "*x1"), "line 6: cannot read the 5000-character integer literal"),
     (_rho_file("x1^99999999"), "line 6: exponent larger than 100"),
     (_rho_file("\u00b2*x1"), "line 6: cannot read the 1-character integer literal"),
+    (_rho_file("(1 + x1)^100"), "line 6: power has more than 30 terms (line 1, column 10)"),
+    (_rho_file("(1 + x1)^20*(2 + x1)^20"), "line 6: expression has more than 30 terms (line 1, column 12)"),
+    (_rho_file(" + ".join(f"x1^{k}" for k in range(31))), "line 6: expression has more than 30 terms"),
 ]
 
 
 @pytest.mark.parametrize("content,fragment", HOSTILE_FILES, ids=lambda v: None)
 def test_hostile_files_are_input_errors(content, fragment, tmp_path, capsys):
     """Deep nesting, bad encodings, reserved coordinate names, unreadable
-    integer literals and exponents past the cap end in exit 2 with an
-    ERROR line that names the file position."""
+    integer literals, exponents past the cap and values past the term budget
+    end in exit 2 with an ERROR line that names the file position."""
     path = tmp_path / "hostile.alg"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -267,12 +270,23 @@ def test_nesting_below_the_bound_parses(tmp_path, capsys):
 
 def test_budgets_at_the_cap_answer(tmp_path, capsys):
     path = tmp_path / "power.alg"
-    path.write_text(_rho_file("x1^100"))
-    assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
+    for expr in ("x1^100", "(1 + x1)^29", "(1 + x1)^29 + 0*x1^30"):
+        path.write_text(_rho_file(expr))
+        assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
     argv = ("exact", TM2, "tm2", "y1", "--bound")
     assert run(argv + ("20",), capsys) == (0, "EXACT: YES, f = x1\n", "")
     for bound in ("21", "5000"):
         assert run(argv + (bound,), capsys) == (2, "", "ERROR: --bound must be at most 20\n")
+
+
+def test_term_budget_refuses_dense_powers(tmp_path, capsys):
+    """(1 + x1 + x2)^100 has 5151 terms and took seconds in every verb; it is
+    refused before it is expanded."""
+    path = tmp_path / "dense.alg"
+    path.write_text(Path(TM2).read_text().replace("rho 1 1 = 1", "rho 1 1 = (1 + x1 + x2)^100"))
+    err = f"ERROR: {path}:7: power has more than 30 terms (line 1, column 15)\n"
+    for argv in (("check-jacobi", "tm2"), ("modular", "tm2"), ("relative-modular", "D", "H")):
+        assert run((argv[0], str(path), *argv[1:]), capsys) == (2, "", err)
 
 
 def test_exact_budget_scales_with_the_chart(capsys):

@@ -132,10 +132,12 @@ def test_ring_axioms_randomized():
 
 
 def test_polynomial_arithmetic_runs_no_prs(monkeypatch):
-    """Polynomials have constant denominators, so no gcd reaches the PRS."""
-    calls = []
-    prem = scalar._prem
-    monkeypatch.setattr(scalar, "_prem", lambda *args: calls.append(args) or prem(*args))
+    """Polynomials have constant denominators, so every gcd is trivial: none
+    reaches the heuristic gcd, let alone the PRS behind it."""
+    heu_calls, prem_calls = [], []
+    heu, prem = scalar._heu, scalar._prem
+    monkeypatch.setattr(scalar, "_heu", lambda *args: heu_calls.append(args) or heu(*args))
+    monkeypatch.setattr(scalar, "_prem", lambda *args: prem_calls.append(args) or prem(*args))
     rng = random.Random(3)
     for _ in range(25):
         f = rand_poly(rng, CH2, deg=2)
@@ -149,10 +151,12 @@ def test_polynomial_arithmetic_runs_no_prs(monkeypatch):
         assert (f * g).partial(1) == f.partial(1) * g + f * g.partial(1)
         assert (3 * f) / 3 == f
     assert (1 - s("x1") ** 2) / 2 == s("1/2 - 1/2*x1^2")
-    assert calls == []
-    # the counter is live: a real denominator does reach the PRS
+    assert heu_calls == []
+    # the counter is live: a real denominator does reach the heuristic gcd,
+    # which answers it without the PRS fallback
     s("x1 + x2") / s("x1 - x2")
-    assert calls
+    assert heu_calls
+    assert prem_calls == []
 
 
 def test_print_parse_round_trip_on_polynomials():

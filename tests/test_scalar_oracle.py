@@ -6,21 +6,23 @@ sympy keeps in lowest terms with its own ``cancel`` and gcd.
 Operands are drawn so that every gcd the kernel skips or shortens is met:
 constant denominators, single-term denominators, equal denominators,
 denominators that share a linear factor, sums in which that shared factor
-cancels, and unrelated denominators. Drawn polynomials are multilinear
-(each exponent 0 or 1): results of higher degree make the library's own PRS
-gcd, which the canonical-form checks call, take minutes.
+cancels, and unrelated denominators. The gcd kernel is checked on its own
+against sympy's ``cofactors``, on bigger polynomials, and with the heuristic
+switched off so that its PRS fallback answers.
 """
 
+import random
 from fractions import Fraction
 
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from algebroids import scalar
 from algebroids.scalar import BaseChart, ScalarField, _pgcd
 
 CHARTS = (BaseChart(("x1", "x2")), BaseChart(("x1", "x2", "x3")))
-FIELDS = {chart.m: sympy.field(chart.names, sympy.QQ) for chart in CHARTS}
+FIELDS = {m: sympy.field([f"x{i}" for i in range(1, m + 1)], sympy.QQ) for m in (2, 3, 4)}
 DEN_KINDS = ("constant", "monomial", "equal", "shared", "cancelling", "general")
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -95,18 +97,18 @@ def to_field(chart, num, den):
     return FIELDS[chart.m][0].new(to_ring(chart, num), to_ring(chart, den))
 
 
+def lead(p):
+    return p[max(p, key=lambda m: (sum(m), m))]
+
+
 def assert_agrees(f, expected):
     """f equals sympy's expected value and is in canonical form itself."""
     num, den = to_ring(f.chart, f.num), to_ring(f.chart, f.den)
     assert num * expected.denom == den * expected.numer
     assert num.gcd(den).is_ground
-    assert f.den[max(f.den, key=lambda m: (sum(m), m))] == 1
-    # The library's own primitive PRS can take seconds on a coprime pair
-    # with more than ten terms between them; sympy's gcd above already
-    # shows those pairs coprime.
-    if len(f.num) + len(f.den) <= 10:
-        assert _pgcd(f.num, f.den) == {(0,) * f.chart.m: Fraction(1)}
-        assert ScalarField(f.chart, dict(f.num), dict(f.den)) == f
+    assert lead(f.den) == 1
+    assert _pgcd(f.num, f.den)[0] == {(0,) * f.chart.m: Fraction(1)}
+    assert ScalarField(f.chart, dict(f.num), dict(f.den)) == f
 
 
 ORACLE = settings(
@@ -133,11 +135,81 @@ def test_arithmetic_matches_sympy(pair, k, axis):
     assert_agrees(f.partial(v + 1), F.diff(FIELDS[chart.m][v + 1]))
 
 
+def assert_triple(chart, a, b, triple):
+    """(g, ca, cb) is sympy's monic gcd of a and b with a = g*ca, b = g*cb."""
+    g, ca, cb = triple
+    assert lead(g) == 1
+    assert pmul(g, ca) == a and pmul(g, cb) == b
+    expected, _, _ = to_ring(chart, a).cofactors(to_ring(chart, b))
+    assert to_ring(chart, g).monic() == expected.monic()
+
+
 @ORACLE
 @given(operand_pairs())
 def test_gcd_matches_sympy(pair):
     chart, (_, a), (_, b), _kind = pair
-    g = _pgcd(a, b)
-    expected = to_ring(chart, a).gcd(to_ring(chart, b))
-    assert to_ring(chart, g).monic() == expected.monic()
-    assert g[max(g, key=lambda m: (sum(m), m))] == 1
+    assert_triple(chart, a, b, _pgcd(a, b))
+
+
+big_coefficients = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)).filter(bool)
+
+
+@st.composite
+def factored_pairs(draw):
+    """(chart, a, b) = (chart, p*q, p*r) over two to four coordinates, with
+    exponents up to 3 and coefficients up to about 10**6; p may be 1."""
+    m = draw(st.integers(2, 4))
+    chart = BaseChart(tuple(f"x{i}" for i in range(1, m + 1)))
+
+    def poly(max_terms):
+        monos = st.tuples(*[st.integers(0, 3)] * m)
+        return draw(st.dictionaries(monos, big_coefficients, min_size=1, max_size=max_terms))
+
+    p = poly(3) if draw(st.booleans()) else {(0,) * m: Fraction(1)}
+    return chart, pmul(p, poly(4)), pmul(p, poly(4))
+
+
+@ORACLE
+@given(factored_pairs())
+def test_gcd_cofactors_match_sympy(pair):
+    chart, a, b = pair
+    assert_triple(chart, a, b, _pgcd(a, b))
+
+
+def test_prs_fallback_gives_the_same_triple(monkeypatch):
+    """With no evaluation points the heuristic gives up at once, and the PRS
+    fallback must give the same gcd and cofactors."""
+    rng = random.Random(5)
+
+    def poly(m):
+        terms = (tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(rng.randint(1, 3)))
+        return {mono: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for mono in terms}
+
+    cases = [(chart, poly(chart.m), poly(chart.m), poly(chart.m)) for chart in CHARTS for _ in range(20)]
+    cases = [(chart, pmul(p, q), pmul(p, r)) for chart, p, q, r in cases]
+    expected = [_pgcd(a, b) for _, a, b in cases]
+    calls = []
+    prs = scalar._prs
+    monkeypatch.setattr(scalar, "_HEU_POINTS", 0)
+    monkeypatch.setattr(scalar, "_prs", lambda *args: calls.append(args) or prs(*args))
+    for (chart, a, b), triple in zip(cases, expected):
+        assert _pgcd(a, b) == triple
+        assert_triple(chart, a, b, triple)
+    assert calls
+
+
+def test_sparse_high_degree_goes_to_the_prs(monkeypatch):
+    """Images of (x1*x2*x3*x4)^40 + x1 + 1 would grow to millions of digits
+    as the variables are set in turn; the heuristic gives up on their size,
+    and the PRS answers at once."""
+    calls = []
+    prs = scalar._prs
+    monkeypatch.setattr(scalar, "_prs", lambda *args: calls.append(args) or prs(*args))
+    chart = BaseChart(("x1", "x2", "x3", "x4"))
+    a = {(40,) * 4: Fraction(1), (1, 0, 0, 0): Fraction(1), (0,) * 4: Fraction(1)}
+    b = {(40,) * 4: Fraction(1), (0, 1, 0, 0): Fraction(1), (0,) * 4: Fraction(2)}
+    p = {(0, 0, 1, 40): Fraction(1), (0,) * 4: Fraction(3)}
+    for x, y in ((a, b), (pmul(p, a), pmul(p, b))):
+        calls.clear()
+        assert_triple(chart, x, y, _pgcd(x, y))
+        assert calls
