@@ -195,9 +195,11 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
             keys.update(m for m, _ in img[i].monomials())
     rows, rhs = [], []
     for i in range(A.rank):
+        nums = [img[i].num for img in images]
+        target = components[i].num
         for key in sorted(keys):
-            rows.append([Fraction(img[i].num.get(key, 0)) for img in images])
-            rhs.append(Fraction(components[i].num.get(key, 0)))
+            rows.append([Fraction(num.get(key, 0)) for num in nums])
+            rhs.append(Fraction(target.get(key, 0)))
     solution = solve_linear(rows, rhs, Fraction(0))
     if solution is None:
         return False, None

@@ -5,25 +5,38 @@ multivariate polynomials in the chart coordinates, with rational-number
 coefficients and a canonical representation, so equality is literal
 comparison and printing is deterministic.
 
-Canonical form: numerator and denominator coprime, denominator monic under
+Canonical form: a value is ``k*N/D`` for a rational ``k`` and integer
+polynomials ``N`` and ``D`` that are coprime and primitive (the gcd of the
+coefficients of each is 1), each with a positive leading coefficient under
 graded-lexicographic order (total degree first, ties broken
-lexicographically with the first coordinate biggest).
+lexicographically with the first coordinate biggest). Zero is ``0*0/1``.
+The form is unique: over Q the coprime pair is fixed up to constant
+factors, being primitive leaves only a sign for each, the leading
+coefficients fix the signs, and ``k`` is then the ratio of the value to
+``N/D``. ``k`` is an ``int`` when whole, so integer polynomials never build
+a ``Fraction``. The ``num`` and ``den`` views give the printed form,
+``(k*N/c)/(D/c)`` with ``c`` the leading coefficient of ``D``.
 
-The canonical form of a rational function is unique, so any route that
-reaches a coprime pair with a monic denominator gives the same bytes as the
-full reduction. Arithmetic therefore runs a gcd only where coprimality is
-not already known:
+Polynomial arithmetic is therefore integer arithmetic. By Gauss's lemma a
+product of primitive polynomials is primitive, and leading coefficients
+multiply, so products and powers of canonical factors need no
+normalisation; sums and derivatives fold the integer content of the result
+into ``k``. The canonical form of a rational function is unique, so any
+route that reaches a canonical triple gives the same bytes as the full
+reduction. Arithmetic therefore runs a gcd only where coprimality is not
+already known:
 
-- ``_pgcd`` returns the monic gcd with both cofactors, so no division
-  follows it. A constant operand gives 1, a single-term operand the monic
-  monomial of least exponents, equal operands the monic operand. Other
-  operands, denominators cleared, go to GCDHEU (Char, Geddes and Gonnet,
-  1989): variables are set to integers one at a time and the gcd of the
-  images is interpolated back. A candidate counts only once exact trial
-  division over the integers shows it divides both operands, which also
-  yields the cofactors; as every evaluation point exceeds twice the smaller
-  coefficient norm, it is then the gcd itself. Where six points fail or the
-  images grow too large, the primitive PRS (Brown, 1971) answers instead.
+- ``_pgcd`` returns the primitive gcd with both cofactors, so no division
+  follows it. A constant operand gives 1, a single-term operand the
+  monomial of least exponents, equal operands the primitive part. Other
+  operands go to GCDHEU (Char, Geddes and Gonnet, 1989): variables are set
+  to integers one at a time and the gcd of the images is interpolated back.
+  A candidate counts only once exact trial division over the integers shows
+  it divides both operands, which also yields the cofactors; as every
+  evaluation point exceeds twice the smaller coefficient norm, it is then
+  the gcd itself. Where the images would grow too large, judged before
+  each evaluation from the point and the degree of every variable, or six
+  points fail, the primitive PRS (Brown, 1971) answers instead.
 - A constant denominator is only scaled; its gcd with anything is 1.
 - ``partial`` of ``a/b`` takes ``g = gcd(b, b')`` with ``b = g*h`` and
   ``b' = g*e``: the quotient rule gives ``(a'*h - a*e) / (b*h)``, where
@@ -34,7 +47,7 @@ not already known:
   ``t = a*(d/g) + c*(b/g)``, and only ``gcd(t, g)`` can be left to cancel.
   Equal denominators are never squared, and coprime ones need no further gcd.
 - Products cancel ``gcd(a, d)`` and ``gcd(c, b)`` across first; what is
-  left is coprime and needs only its leading coefficient normalised.
+  left is canonical as it stands.
 - Powers of a coprime pair stay coprime, so ``**`` raises numerator and
   denominator separately.
 """
@@ -50,11 +63,9 @@ from typing import Callable, Iterator
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-# A polynomial is a dict mapping exponent tuples to nonzero Fractions.
-# All tuples in one dict have the chart's length. {} is the zero polynomial.
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+# A polynomial is a dict mapping exponent tuples to nonzero ints. All tuples
+# in one dict have the chart's length. {} is the zero polynomial. A rational
+# number is an int or a Fraction.
 
 
 class ParseError(ValueError):
@@ -105,10 +116,11 @@ def _plead(p: dict) -> tuple:
     return max(p, key=_grlex)
 
 
-def _padd(a: dict, b: dict) -> dict:
-    r = dict(a)
+def _plin(u: int, a: dict, w: int, b: dict) -> dict:
+    """u*a + w*b for integers u, w."""
+    r = dict(a) if u == 1 else {m: u * c for m, c in a.items()}
     for m, c in b.items():
-        s = r.get(m, _F0) + c
+        s = r.get(m, 0) + w * c
         if s:
             r[m] = s
         else:
@@ -116,20 +128,12 @@ def _padd(a: dict, b: dict) -> dict:
     return r
 
 
-def _pneg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
-
-
-def _psub(a: dict, b: dict) -> dict:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: dict, b: dict) -> dict:
     r: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = r.get(m, _F0) + ca * cb
+            m = tuple(map(add, ma, mb))
+            s = r.get(m, 0) + ca * cb
             if s:
                 r[m] = s
             else:
@@ -137,52 +141,33 @@ def _pmul(a: dict, b: dict) -> dict:
     return r
 
 
-def _pscale(a: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {m: q * c for m, q in a.items()}
+def _zprim(p: dict) -> tuple[int, dict]:
+    """(c, P) with p = c*P for a nonzero p, P primitive with a positive
+    leading coefficient."""
+    c = gcd(*p.values())
+    if p[_plead(p)] < 0:
+        c = -c
+    return c, p if c == 1 else {m: v // c for m, v in p.items()}
 
 
-def _pmonic(p: dict) -> dict:
-    if not p:
-        return p
-    lc = p[_plead(p)]
-    if lc == 1:
-        return dict(p)
-    return {m: c / lc for m, c in p.items()}
+def _rat(n: int, d: int):
+    """n/d as an int when d divides n, else as a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _pvars(p: dict) -> set:
-    return {i for m in p for i, e in enumerate(m) if e}
+def _zsplit(p: dict) -> tuple:
+    """(k, P) with p = k*P for a nonzero polynomial with int or Fraction
+    coefficients, k rational and P as in _zprim."""
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        return c.numerator if c.denominator == 1 else c, {m: 1}
+    den = lcm(*(c.denominator for c in p.values()))
+    c, q = _zprim({m: c.numerator * (den // c.denominator) for m, c in p.items()})
+    return _rat(c, den), q
 
 
 def _pdeg_in(p: dict, v: int) -> int:
     return max((m[v] for m in p), default=0)
-
-
-def _pdiv_exact(a: dict, b: dict) -> dict:
-    """Exact quotient a/b. Internal: callers guarantee divisibility."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q: dict = {}
-    r = dict(a)
-    lb = _plead(b)
-    cb = b[lb]
-    while r:
-        lr = _plead(r)
-        m = tuple(x - y for x, y in zip(lr, lb))
-        if any(e < 0 for e in m):
-            raise ArithmeticError("inexact polynomial division")
-        cq = r[lr] / cb
-        q[m] = cq
-        for mb, c in b.items():
-            mm = tuple(x + y for x, y in zip(m, mb))
-            s = r.get(mm, _F0) - cq * c
-            if s:
-                r[mm] = s
-            else:
-                r.pop(mm, None)
-    return q
 
 
 def _split_var(p: dict, v: int) -> dict:
@@ -195,7 +180,7 @@ def _split_var(p: dict, v: int) -> dict:
 
 
 def _is_const(p: dict) -> bool:
-    """True for a nonzero constant; among monic polynomials, only for 1."""
+    """True for a nonzero constant; among primitive polynomials, only for 1."""
     return len(p) == 1 and not any(next(iter(p)))
 
 
@@ -219,25 +204,25 @@ def _prem(a: dict, b: dict, v: int) -> dict:
         lr = _split_var(r, v)[dr]
         # r <- lb*r - lr * x_v^(dr-db) * b ; kills the degree-dr head.
         shift = {m[:v] + (m[v] + dr - db,) + m[v + 1 :]: c for m, c in b.items()}
-        r = _psub(_pmul(lb, r), _pmul(lr, shift))
+        r = _plin(1, _pmul(lb, r), -1, _pmul(lr, shift))
     return r
 
 
 def _prs(a: dict, b: dict) -> dict:
-    """Monic gcd of two polynomials by the primitive PRS (Brown, 1971)."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
+    """The gcd of two polynomials, not both zero, as in _pgcd, by the
+    primitive PRS (Brown, 1971). Contents in v and pseudo-remainders divide
+    exactly over the integers, as the contents are primitive."""
+    if not a or not b:
+        return _zprim(a or b)[1]
     for p in (a, b):
         if _is_const(p):
-            return {next(iter(p)): _F1}
+            return {next(iter(p)): 1}
     if len(a) == 1 or len(b) == 1:
         # a monomial divides a polynomial iff it divides every term
-        return {tuple(map(min, *a, *b)): _F1}
+        return {tuple(map(min, *a, *b)): 1}
     if a == b:
-        return _pmonic(a)
-    v = max(_pvars(a) | _pvars(b))
+        return _zprim(a)[1]
+    v = max(i for i, e in enumerate(map(max, zip(*a, *b))) if e)
     da, db = _pdeg_in(a, v), _pdeg_in(b, v)
     if da == 0 or db == 0:
         ca = a if da == 0 else _content(a, v)
@@ -245,25 +230,24 @@ def _prs(a: dict, b: dict) -> dict:
         return _prs(ca, cb)
     ca, cb = _content(a, v), _content(b, v)
     c = _prs(ca, cb)
-    big = _pdiv_exact(a, ca)
-    small = _pdiv_exact(b, cb)
+    big = _zdiv(a, ca)
+    small = _zdiv(b, cb)
     if _pdeg_in(big, v) < _pdeg_in(small, v):
         big, small = small, big
     while True:
         r = _prem(big, small, v)
         if not r:
-            g = small
             break
         if _pdeg_in(r, v) == 0:
-            return _pmonic(c)
-        big, small = small, _pdiv_exact(r, _content(r, v))
-    return _pmonic(_pmul(c, g))
+            return c
+        big, small = small, _zprim(_zdiv(r, _content(r, v)))[1]
+    return _zprim(_pmul(c, small))[1]
 
 
-# GCDHEU works on polynomial dicts with int coefficients. It tries this many
-# points per variable and gives up before an image passes _HEU_BITS bits: each
-# variable set multiplies the size by its degree, so (x1*x2*x3*x4)^40 + x1 is
-# left to the PRS, while dense pairs with 12-digit coefficients need 2^17.
+# GCDHEU tries this many points per variable and gives up before an image
+# passes _HEU_BITS bits: each variable set multiplies the size by its degree,
+# so (x1*x2*x3*x4)^15 + x1 is left to the PRS, while dense pairs with 12-digit
+# coefficients need 2^17.
 _HEU_POINTS = 6
 _HEU_BITS = 2**18
 
@@ -321,19 +305,22 @@ def _heu(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     None when the points or _HEU_BITS run out. The last variable is set to x
     and the gcd of the images, taken recursively, interpolated back; the
     module docstring says why a candidate dividing f and g is the gcd."""
-    vs = _pvars(f) | _pvars(g)
-    if not vs:
+    degs = list(map(max, zip(*f, *g)))
+    if not any(degs):
         ((z, a),), (b,) = f.items(), g.values()
         h = gcd(a, b)
         return {z: h}, {z: a // h}, {z: b // h}
-    v = max(vs)
+    v = max(i for i, e in enumerate(degs) if e)
     cont = gcd(*f.values(), *g.values())
     if cont > 1:
         f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    deg = max(_pdeg_in(f, v), _pdeg_in(g, v))
+    growth = 1
+    for e in degs:
+        growth *= e or 1
     for _ in range(_HEU_POINTS):
-        if x.bit_length() * deg > _HEU_BITS:
+        # the last image has about x's bits times the degree of every variable
+        if x.bit_length() * growth > _HEU_BITS:
             return None
         ff, gg = _zeval(f, v, x), _zeval(g, v, x)
         if ff and gg and (images := _heu(ff, gg)) is not None:
@@ -350,77 +337,71 @@ def _heu(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     return None
 
 
-def _zclear(p: dict) -> tuple[dict, Fraction]:
-    """(P, k) with p = k*P and P an integer polynomial."""
-    den = lcm(*(c.denominator for c in p.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, Fraction(1, den)
-
-
 def _pgcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
-    """(g, a/g, b/g) for the monic gcd g of two polynomials, not both zero:
-    trivial operands directly, then GCDHEU, then the PRS if that gives up."""
+    """(g, a/g, b/g) for the gcd g of two integer polynomials, not both
+    zero, taken primitive with a positive leading coefficient, so that the
+    cofactors are integer polynomials, primitive with positive leading
+    coefficients where a and b are: trivial operands directly, then GCDHEU,
+    then the PRS if that gives up."""
+    one = (0,) * len(next(iter(a or b)))
     if not a or not b:
-        p = a or b
-        unit = {(0,) * len(_plead(p)): p[_plead(p)]}
-        return _pmonic(p), a and unit, b and unit
+        c, g = _zprim(a or b)
+        unit = {one: c}
+        return g, a and unit, b and unit
     if _is_const(a) or _is_const(b):
-        return {(0,) * len(next(iter(a))): _F1}, a, b
+        return {one: 1}, a, b
     if len(a) == 1 or len(b) == 1:
         # a monomial divides a polynomial iff it divides every term
         lo = tuple(map(min, *a, *b))
         a, b = ({tuple(map(sub, m, lo)): c for m, c in p.items()} for p in (a, b))
-        return {lo: _F1}, a, b
-    one = (0,) * len(next(iter(a)))
+        return {lo: 1}, a, b
     if a == b:
-        unit = {one: a[_plead(a)]}
-        return _pmonic(a), unit, unit
-    (fa, ka), (fb, kb) = _zclear(a), _zclear(b)
-    if (found := _heu(fa, fb)) is None:
+        c, g = _zprim(a)
+        unit = {one: c}
+        return g, unit, unit
+    if (found := _heu(a, b)) is None:
         g = _prs(a, b)
-        return g, _pdiv_exact(a, g), _pdiv_exact(b, g)
+        return g, _zdiv(a, g), _zdiv(b, g)
     h, ca, cb = found
-    if _is_const(h):
-        return {one: _F1}, a, b
-    lc = h[_plead(h)]
-    ka, kb = ka * lc, kb * lc
-    g = {m: Fraction(c, lc) for m, c in h.items()}
-    return g, {m: ka * c for m, c in ca.items()}, {m: kb * c for m, c in cb.items()}
-
-
-def _monic_den(num: dict, den: dict) -> tuple[dict, dict]:
-    """Scale a coprime pair so the denominator is monic."""
-    lc = den[_plead(den)]
-    if lc == 1:
-        return num, den
-    inv = 1 / lc
-    return _pscale(num, inv), _pscale(den, inv)
+    c, g = _zprim(h)
+    if c != 1:
+        ca, cb = ({m: c * v for m, v in p.items()} for p in (ca, cb))
+    return g, ca, cb
 
 
 class ScalarField:
     """One exact rational function; immutable, canonical on construction."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "_k", "_n", "_d")
 
     def __init__(self, chart: BaseChart, num: dict, den: dict | None = None):
-        if den is None:
-            den = {(0,) * chart.m: _F1}
-        if not den:
+        """num and den map exponent tuples to nonzero ints or Fractions."""
+        one = (0,) * chart.m
+        if den is not None and not den:
             raise ZeroDivisionError("scalar division by zero")
         if not num:
-            den = {(0,) * chart.m: _F1}
+            k, num, den = 0, {}, {one: 1}
         else:
-            num, den = _monic_den(*_pgcd(num, den)[1:])
+            k, num = _zsplit(num)
+            if den is None:
+                den = {one: 1}
+            else:
+                kd, den = _zsplit(den)
+                _, num, den = _pgcd(num, den)
+                k = _rat(k.numerator * kd.denominator, k.denominator * kd.numerator)
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_n", num)
+        object.__setattr__(self, "_d", den)
 
     @staticmethod
-    def _canonical(chart: BaseChart, num: dict, den: dict) -> "ScalarField":
-        """Wrap a pair already in canonical form, without checking it."""
+    def _canonical(chart: BaseChart, k, num: dict, den: dict) -> "ScalarField":
+        """Wrap a triple already in canonical form, without checking it."""
         f = ScalarField.__new__(ScalarField)
         object.__setattr__(f, "chart", chart)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "_k", k)
+        object.__setattr__(f, "_n", num)
+        object.__setattr__(f, "_d", den)
         return f
 
     def __setattr__(self, name, value):
@@ -430,14 +411,14 @@ class ScalarField:
 
     @staticmethod
     def const(chart: BaseChart, value) -> "ScalarField":
-        q = Fraction(value)
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return ScalarField(chart, {(0,) * chart.m: q} if q else {})
 
     @staticmethod
     def coord(chart: BaseChart, name: str) -> "ScalarField":
         i = chart.axis(name)
         mono = tuple(1 if j == i else 0 for j in range(chart.m))
-        return ScalarField(chart, {mono: _F1})
+        return ScalarField(chart, {mono: 1})
 
     @staticmethod
     def zero(chart: BaseChart) -> "ScalarField":
@@ -450,19 +431,29 @@ class ScalarField:
     # predicates and views
 
     @property
+    def num(self) -> dict:
+        """Numerator with Fraction coefficients, over the monic ``den``."""
+        q = Fraction(self._k, self._d[_plead(self._d)])
+        return {m: q * c for m, c in self._n.items()}
+
+    @property
+    def den(self) -> dict:
+        """Denominator with Fraction coefficients, monic in graded-lex order."""
+        lc = self._d[_plead(self._d)]
+        return {m: Fraction(c, lc) for m, c in self._d.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     @property
     def is_polynomial(self) -> bool:
-        return len(self.den) == 1 and not any(_plead(self.den))
+        return _is_const(self._d)
 
     def constant_value(self) -> Fraction:
         """The value of a constant; raises if not constant."""
-        if self.is_zero:
-            return _F0
-        if self.is_polynomial and len(self.num) == 1 and not any(_plead(self.num)):
-            return self.num[_plead(self.num)]
+        if self.is_zero or (self.is_polynomial and _is_const(self._n)):
+            return Fraction(self._k)
         raise ValueError(f"not a constant: {self}")
 
     def total_degree(self) -> int:
@@ -471,14 +462,15 @@ class ScalarField:
             raise ValueError(f"not a polynomial: {self}")
         if self.is_zero:
             return -1
-        return max(sum(m) for m in self.num)
+        return max(sum(m) for m in self._n)
 
     def monomials(self) -> Iterator[tuple[tuple, Fraction]]:
         """Numerator terms of a polynomial value, descending grlex."""
         if not self.is_polynomial:
             raise ValueError(f"not a polynomial: {self}")
-        for m in sorted(self.num, key=_grlex, reverse=True):
-            yield m, self.num[m]
+        num = self.num
+        for m in sorted(num, key=_grlex, reverse=True):
+            yield m, num[m]
 
     # arithmetic
 
@@ -491,64 +483,69 @@ class ScalarField:
             return ScalarField.const(self.chart, other)
         return None
 
-    def _plus(self, c: dict, d: dict) -> "ScalarField":
-        """self + c/d for a canonical pair c/d, by Henrici's method."""
-        a, b = self.num, self.den
+    def _plus(self, k, c: dict, d: dict) -> "ScalarField":
+        """self + k*c/d for a canonical triple, by Henrici's method."""
+        a, b = self._n, self._d
         if not c:
             return self
         if not a:
-            return ScalarField._canonical(self.chart, c, d)
+            return ScalarField._canonical(self.chart, k, c, d)
+        # self._k*a + k*c = (n/l)*(u*a + w*c) with integers n, l, u, w
+        (n1, d1), (n2, d2) = (self._k.numerator, self._k.denominator), (k.numerator, k.denominator)
+        n, l = gcd(n1, n2), lcm(d1, d2)
+        u, w = n1 // n * (l // d1), n2 // n * (l // d2)
         if b == d:
-            g, t, den = b, _padd(a, c), b
+            g, t, den = b, _plin(u, a, w, c), b
         else:
             g, bg, dg = _pgcd(b, d)
-            t = _padd(_pmul(a, dg), _pmul(c, bg))
+            t = _plin(u, _pmul(a, dg), w, _pmul(c, bg))
             den = _pmul(b, dg)
         if not t:
             return ScalarField.zero(self.chart)
+        ct, t = _zprim(t)
         # a, c are coprime to b, d, so t can share a factor with g only
         q, t, _ = _pgcd(t, g)
-        den = den if _is_const(q) else _pdiv_exact(den, q)
-        return ScalarField._canonical(self.chart, t, den)
+        den = den if _is_const(q) else _zdiv(den, q)
+        return ScalarField._canonical(self.chart, _rat(n * ct, l), t, den)
 
-    def _times(self, c: dict, d: dict) -> "ScalarField":
-        """self * c/d for a coprime pair c/d whose d need not be monic."""
-        a, b = self.num, self.den
+    def _times(self, k, c: dict, d: dict) -> "ScalarField":
+        """self * k*c/d for coprime primitive c, d with positive leading
+        coefficients."""
+        a, b = self._n, self._d
         if not a or not c:
             return ScalarField.zero(self.chart)
         _, a, d = _pgcd(a, d)
         _, c, b = _pgcd(c, b)
-        num, den = _monic_den(_pmul(a, c), _pmul(b, d))
-        return ScalarField._canonical(self.chart, num, den)
+        return ScalarField._canonical(self.chart, self._k * k, _pmul(a, c), _pmul(b, d))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(o.num, o.den)
+        return self._plus(o._k, o._n, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField._canonical(self.chart, _pneg(self.num), self.den)
+        return ScalarField._canonical(self.chart, -self._k, self._n, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(_pneg(o.num), o.den)
+        return self._plus(-o._k, o._n, o._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._plus(_pneg(self.num), self.den)
+        return o._plus(-self._k, self._n, self._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._times(o.num, o.den)
+        return self._times(o._k, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -558,7 +555,7 @@ class ScalarField:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return self._times(o.den, o.num)
+        return self._times(_rat(o._k.denominator, o._k.numerator), o._d, o._n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -571,14 +568,14 @@ class ScalarField:
             return NotImplemented
         if k < 0:
             return ScalarField.one(self.chart) / self ** (-k)
-        one = {(0,) * self.chart.m: _F1}
+        one = {(0,) * self.chart.m: 1}
         num = den = one
         for _ in range(k):
-            num = _pmul(num, self.num)
-        if num and not _is_const(self.den):
+            num = _pmul(num, self._n)
+        if num and not _is_const(self._d):
             for _ in range(k):
-                den = _pmul(den, self.den)
-        return ScalarField._canonical(self.chart, num, den)
+                den = _pmul(den, self._d)
+        return ScalarField._canonical(self.chart, self._k**k, num, den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -587,16 +584,18 @@ class ScalarField:
             return NotImplemented
         return (
             self.chart == other.chart
-            and self.num == other.num
-            and self.den == other.den
+            and self._k == other._k
+            and self._n == other._n
+            and self._d == other._d
         )
 
     def __hash__(self):
         return hash(
             (
                 self.chart,
-                frozenset(self.num.items()),
-                frozenset(self.den.items()),
+                self._k,
+                frozenset(self._n.items()),
+                frozenset(self._d.items()),
             )
         )
 
@@ -613,31 +612,26 @@ class ScalarField:
             v = a - 1
 
         def d(p: dict) -> dict:
-            r: dict = {}
-            for m, c in p.items():
-                if m[v]:
-                    mm = m[:v] + (m[v] - 1,) + m[v + 1 :]
-                    s = r.get(mm, _F0) + c * m[v]
-                    if s:
-                        r[mm] = s
-                    else:
-                        r.pop(mm, None)
-            return r
+            # lowering the exponent of x_v is one-to-one on the terms it keeps
+            return {m[:v] + (m[v] - 1,) + m[v + 1 :]: c * m[v] for m, c in p.items() if m[v]}
 
-        a, b = self.num, self.den
+        k, a, b = self._k, self._n, self._d
         if _is_const(b):
-            return ScalarField._canonical(self.chart, d(a), b)
+            if not (t := d(a)):
+                return ScalarField._canonical(self.chart, 0, t, b)
+            ct, t = _zprim(t)
+            return ScalarField._canonical(self.chart, k * ct, t, b)
         # With g = gcd(b, b'), b = g*h and b' = g*e for coprime h, e, the
         # quotient rule gives t/(b*h) with t = a'*h - a*e. As a and e are
         # coprime to h, only gcd(t, g) can be left to cancel.
-        db = d(b)
-        g, h, e = _pgcd(b, db)
-        t = _psub(_pmul(d(a), h), _pmul(a, e))
+        g, h, e = _pgcd(b, d(b))
+        t = _plin(1, _pmul(d(a), h), -1, _pmul(a, e))
         if not t:
             return ScalarField.zero(self.chart)
+        ct, t = _zprim(t)
         q, t, _ = _pgcd(t, g)
-        den = _pmul(b, h) if _is_const(q) else _pdiv_exact(_pmul(b, h), q)
-        return ScalarField._canonical(self.chart, t, den)
+        den = _pmul(b, h) if _is_const(q) else _zdiv(_pmul(b, h), q)
+        return ScalarField._canonical(self.chart, k * ct, t, den)
 
     # printing
 
@@ -692,8 +686,8 @@ _MAX_TERMS = 30
 def _term_count(value) -> int:
     """Terms of a parsed value, summed over the coefficients of a super one."""
     if isinstance(value, ScalarField):
-        return len(value.num)
-    return sum(len(c.num) for c in value.terms.values())
+        return len(value._n)
+    return sum(len(c._n) for c in value.terms.values())
 
 
 def _tokenize(text: str):

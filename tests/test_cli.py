@@ -279,6 +279,18 @@ def test_budgets_at_the_cap_answer(tmp_path, capsys):
         assert run(argv + (bound,), capsys) == (2, "", "ERROR: --bound must be at most 20\n")
 
 
+def test_rank_budget(tmp_path, capsys):
+    """Rank is capped at 250, where the slowest verb on one c entry and a
+    Hamiltonian takes about a second; one more is an input error."""
+    path = tmp_path / "rank.alg"
+    text = "[chart]\ncoords = x1\n\n[algebroid a]\nrank = {}\nc 1 2 1 = x1\n"
+    path.write_text(text.format(250))
+    assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
+    path.write_text(text.format(251))
+    err = f"ERROR: {path}:5: rank must be at most 250\n"
+    assert run(("check-jacobi", str(path), "a"), capsys) == (2, "", err)
+
+
 def test_term_budget_refuses_dense_powers(tmp_path, capsys):
     """(1 + x1 + x2)^100 has 5151 terms and took seconds in every verb; it is
     refused before it is expanded."""

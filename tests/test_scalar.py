@@ -159,6 +159,35 @@ def test_polynomial_arithmetic_runs_no_prs(monkeypatch):
     assert prem_calls == []
 
 
+def test_integer_polynomials_build_no_fractions(monkeypatch):
+    """Integer polynomials are held with integer coefficients and an integer
+    content, so ring arithmetic and partial derivatives on them build no
+    Fraction. Up to Python 3.11 every Fraction result, arithmetic included,
+    passes through Fraction.__new__."""
+    rng = random.Random(5)
+
+    def poly():
+        terms = [((rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-6, 6) or 1) for _ in range(3)]
+        return ScalarField(CH2, dict(terms))
+
+    operands = [(poly(), poly(), poly()) for _ in range(25)]
+    built = []
+    new = scalar.Fraction.__new__
+    monkeypatch.setattr(scalar.Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for f, g, h in operands:
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert f - g == -(g - f)
+        assert (f * g) ** 2 == f ** 2 * g ** 2
+        assert (f * g).partial(1) == f.partial(1) * g + f * g.partial(1)
+        assert (2 * f - 3).partial(2) == 2 * f.partial(2)
+    assert built == []
+    # the counter is live: halving builds the content 1/2
+    operands[0][0] / 2
+    assert built
+
+
 def test_print_parse_round_trip_on_polynomials():
     rng = random.Random(19)
     for _ in range(40):

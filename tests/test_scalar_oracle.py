@@ -6,13 +6,18 @@ sympy keeps in lowest terms with its own ``cancel`` and gcd.
 Operands are drawn so that every gcd the kernel skips or shortens is met:
 constant denominators, single-term denominators, equal denominators,
 denominators that share a linear factor, sums in which that shared factor
-cancels, and unrelated denominators. The gcd kernel is checked on its own
+cancels, and unrelated denominators. Every numerator and denominator is
+also scaled by a drawn rational such as 3/7, so the rational content that
+the kernel keeps beside its integer polynomials is not just an integer. The
+gcd kernel, which works on integer polynomials, is checked on its own
 against sympy's ``cofactors``, on bigger polynomials, and with the heuristic
 switched off so that its PRS fallback answers.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from time import perf_counter
 
 import sympy
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +32,7 @@ DEN_KINDS = ("constant", "monomial", "equal", "shared", "cancelling", "general")
 
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero_coefficients = coefficients.filter(bool)
+contents = st.builds(Fraction, st.sampled_from((3, -1, 1, -5, 12)), st.sampled_from((7, 1, 2, 9)))
 
 
 def exponents(m):
@@ -44,6 +50,16 @@ def pmul(a, b):
             m = tuple(x + y for x, y in zip(ma, mb))
             r[m] = r.get(m, 0) + ca * cb
     return {m: c for m, c in r.items() if c}
+
+
+def scale(k, p):
+    return {m: k * c for m, c in p.items()}
+
+
+def integer(p):
+    """p times the lcm of its coefficient denominators."""
+    den = lcm(*(c.denominator for c in p.values()))
+    return {m: int(c * den) for m, c in p.items()}
 
 
 def psub(a, b):
@@ -85,6 +101,7 @@ def operand_pairs(draw):
             n1, n2 = pmul(p, n1), psub(pmul(linear, s), pmul(q, n1))
     else:
         d1, d2 = (draw(polynomials(m, nonzero=True)) for _ in range(2))
+    n1, d1, n2, d2 = (scale(draw(contents), p) for p in (n1, d1, n2, d2))
     return chart, (n1, d1), (n2, d2), kind
 
 
@@ -101,13 +118,23 @@ def lead(p):
     return p[max(p, key=lambda m: (sum(m), m))]
 
 
+def assert_primitive(p):
+    """p has int coefficients without a common factor and a positive
+    leading coefficient."""
+    assert all(type(c) is int for c in p.values())
+    assert gcd(*p.values()) == 1 and lead(p) > 0
+
+
 def assert_agrees(f, expected):
     """f equals sympy's expected value and is in canonical form itself."""
     num, den = to_ring(f.chart, f.num), to_ring(f.chart, f.den)
     assert num * expected.denom == den * expected.numer
     assert num.gcd(den).is_ground
     assert lead(f.den) == 1
-    assert _pgcd(f.num, f.den)[0] == {(0,) * f.chart.m: Fraction(1)}
+    if not f.is_zero:
+        assert_primitive(f._n)
+    assert_primitive(f._d)
+    assert _pgcd(f._n, f._d)[0] == {(0,) * f.chart.m: 1}
     assert ScalarField(f.chart, dict(f.num), dict(f.den)) == f
 
 
@@ -136,9 +163,11 @@ def test_arithmetic_matches_sympy(pair, k, axis):
 
 
 def assert_triple(chart, a, b, triple):
-    """(g, ca, cb) is sympy's monic gcd of a and b with a = g*ca, b = g*cb."""
+    """(g, ca, cb) is sympy's gcd of the integer polynomials a and b, made
+    primitive with a positive leading coefficient, with a = g*ca, b = g*cb."""
     g, ca, cb = triple
-    assert lead(g) == 1
+    assert_primitive(g)
+    assert all(type(c) is int for p in (ca, cb) for c in p.values())
     assert pmul(g, ca) == a and pmul(g, cb) == b
     expected, _, _ = to_ring(chart, a).cofactors(to_ring(chart, b))
     assert to_ring(chart, g).monic() == expected.monic()
@@ -148,6 +177,7 @@ def assert_triple(chart, a, b, triple):
 @given(operand_pairs())
 def test_gcd_matches_sympy(pair):
     chart, (_, a), (_, b), _kind = pair
+    a, b = integer(a), integer(b)
     assert_triple(chart, a, b, _pgcd(a, b))
 
 
@@ -166,7 +196,7 @@ def factored_pairs(draw):
         return draw(st.dictionaries(monos, big_coefficients, min_size=1, max_size=max_terms))
 
     p = poly(3) if draw(st.booleans()) else {(0,) * m: Fraction(1)}
-    return chart, pmul(p, poly(4)), pmul(p, poly(4))
+    return chart, integer(pmul(p, poly(4))), integer(pmul(p, poly(4)))
 
 
 @ORACLE
@@ -186,7 +216,7 @@ def test_prs_fallback_gives_the_same_triple(monkeypatch):
         return {mono: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for mono in terms}
 
     cases = [(chart, poly(chart.m), poly(chart.m), poly(chart.m)) for chart in CHARTS for _ in range(20)]
-    cases = [(chart, pmul(p, q), pmul(p, r)) for chart, p, q, r in cases]
+    cases = [(chart, integer(pmul(p, q)), integer(pmul(p, r))) for chart, p, q, r in cases]
     expected = [_pgcd(a, b) for _, a, b in cases]
     calls = []
     prs = scalar._prs
@@ -199,17 +229,22 @@ def test_prs_fallback_gives_the_same_triple(monkeypatch):
 
 
 def test_sparse_high_degree_goes_to_the_prs(monkeypatch):
-    """Images of (x1*x2*x3*x4)^40 + x1 + 1 would grow to millions of digits
-    as the variables are set in turn; the heuristic gives up on their size,
-    and the PRS answers at once."""
+    """Images of (x1*x2*x3*x4)^d + x1 + 1 would grow to about 5*d^4 bits as
+    the variables are set in turn; the heuristic sees that from the degrees
+    before it evaluates anything and gives up, and the PRS answers at once."""
     calls = []
     prs = scalar._prs
     monkeypatch.setattr(scalar, "_prs", lambda *args: calls.append(args) or prs(*args))
     chart = BaseChart(("x1", "x2", "x3", "x4"))
-    a = {(40,) * 4: Fraction(1), (1, 0, 0, 0): Fraction(1), (0,) * 4: Fraction(1)}
-    b = {(40,) * 4: Fraction(1), (0, 1, 0, 0): Fraction(1), (0,) * 4: Fraction(2)}
-    p = {(0, 0, 1, 40): Fraction(1), (0,) * 4: Fraction(3)}
-    for x, y in ((a, b), (pmul(p, a), pmul(p, b))):
-        calls.clear()
-        assert_triple(chart, x, y, _pgcd(x, y))
-        assert calls
+    for d in (15, 20, 40):
+        a = {(d,) * 4: 1, (1, 0, 0, 0): 1, (0,) * 4: 1}
+        b = {(d,) * 4: 1, (0, 1, 0, 0): 1, (0,) * 4: 2}
+        p = {(0, 0, 1, d): 1, (0,) * 4: 3}
+        for x, y in ((a, b), (pmul(p, a), pmul(p, b))):
+            calls.clear()
+            start = perf_counter()
+            triple = _pgcd(x, y)
+            # the PRS takes milliseconds; the heuristic took 0.3 to 0.5 s
+            assert perf_counter() - start < 0.1
+            assert_triple(chart, x, y, triple)
+            assert calls
