@@ -229,7 +229,7 @@ class AlgebroidMorphism:
     """Base-preserving bundle map e_i -> sum_j Phi_i^j e_j between
     algebroids over one chart."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_memo")
 
     def __init__(self, source: SkewAlgebroid, target: SkewAlgebroid, matrix: dict):
         if source.chart != target.chart:
@@ -244,6 +244,7 @@ class AlgebroidMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", entries)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebroidMorphism is immutable")
@@ -276,7 +277,14 @@ def pullback(phi: AlgebroidMorphism, omega: SuperPoly) -> SuperPoly:
 
 
 def is_morphism(phi: AlgebroidMorphism):
-    """(flag, certificate); checks the intertwining law on generators."""
+    """(flag, certificate); checks the intertwining law on generators,
+    once per morphism: the verdict is memoised on it."""
+    if "verdict" not in phi._memo:
+        phi._memo["verdict"] = _intertwining(phi)
+    return phi._memo["verdict"]
+
+
+def _intertwining(phi: AlgebroidMorphism):
     d1 = phi.source.de_rham_field()
     d2 = phi.target.de_rham_field()
     src, tgt = phi.source.table(), phi.target.table()

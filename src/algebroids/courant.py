@@ -56,19 +56,17 @@ class SymplecticSpace2:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("pairing must be symmetric")
-        inv = invert_matrix(g, Fraction(0), Fraction(1))
-        if inv is None:
-            raise ValueError("pairing must be invertible")
         if split_rank is not None:
             if n != 2 * split_rank:
                 raise ValueError("split marking needs exactly 2n odd generators")
-            for i in range(split_rank):
-                for j in range(n):
-                    want = Fraction(1 if j == i + split_rank else 0)
-                    if g[i][j] != want or g[i + split_rank][j] != (
-                        Fraction(1) if j == i else Fraction(0)
-                    ):
-                        raise ValueError("split marking needs the block pairing")
+            if g != _block_pairing(split_rank):
+                raise ValueError("split marking needs the block pairing")
+            # the block pairing is its own inverse
+            inv = g
+        else:
+            inv = invert_matrix(g, Fraction(0), Fraction(1))
+            if inv is None:
+                raise ValueError("pairing must be invertible")
         momenta = tuple(f"p{a}" for a in range(1, chart.m + 1))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "zeta", zeta)
@@ -105,11 +103,12 @@ class SymplecticSpace2:
 def split_space(chart: BaseChart, n: int) -> SymplecticSpace2:
     """T*[2]E[1]-style space: zeta = (y^1..y^n, xi_1..xi_n)."""
     names = tuple(f"y{i}" for i in range(1, n + 1)) + tuple(f"xi{i}" for i in range(1, n + 1))
-    g = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        g[i][n + i] = Fraction(1)
-        g[n + i][i] = Fraction(1)
-    return SymplecticSpace2(chart, names, g, split_rank=n)
+    return SymplecticSpace2(chart, names, _block_pairing(n), split_rank=n)
+
+
+def _block_pairing(n: int) -> list:
+    """The 2n x 2n pairing with {y^i, xi_j} = delta^i_j and all else 0."""
+    return [[int(abs(i - j) == n) for j in range(2 * n)] for i in range(2 * n)]
 
 
 def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> SuperPoly:
@@ -252,7 +251,9 @@ _PSI_TYPE = (0, 3, 0)
 
 
 def bidegree_split(H: Hamiltonian) -> BidegreeParts:
-    """Monomial-type decomposition of a cubic on a split space."""
+    """Monomial-type decomposition of a cubic on a split space; once per H."""
+    if "split" in H._memo:
+        return H._memo["split"]
     space = H.space
     if not space.is_split:
         raise ValueError("bidegree split needs a split space")
@@ -267,9 +268,11 @@ def bidegree_split(H: Hamiltonian) -> BidegreeParts:
             buckets["phi"][key] = c
         else:
             buckets["psi"][key] = c
-    return BidegreeParts(
+    parts = BidegreeParts(
         **{name: Hamiltonian(space, SuperPoly(space.table, terms)) for name, terms in buckets.items()}
     )
+    H._memo["split"] = parts
+    return parts
 
 
 def _projection(H: Hamiltonian) -> SkewAlgebroid | None:

@@ -16,7 +16,9 @@ of H), the covector bracket produced by the twisted generator
     L_{P#a} b - L_{P#b} a - d(P(a, b)) - i_{P#b} i_{P#a} phi
 
 where phi is contracted as the raw stored cubic.  Both sides are computed on
-every call and compared, so the convention cannot drift silently.
+every twisted_bracket call and compared, so the convention cannot drift
+silently.  The twist obstruction is compared once per (P, H) pair, and it and
+the twisted generator are memoised on the Hamiltonian.
 """
 
 from collections import namedtuple
@@ -97,6 +99,9 @@ class Bivector:
         if not isinstance(other, Bivector):
             return NotImplemented
         return self.space == other.space and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(frozenset(self.entries.items()))
 
     def sharp(self, alpha) -> tuple:
         """Section components of P#(alpha): X_j = sum_i alpha_i P^{ij}."""
@@ -284,6 +289,54 @@ def _xi_restriction(space: SymplecticSpace2, F: SuperPoly) -> SuperPoly:
     return SuperPoly(space.table, kept)
 
 
+TwistedStructure = namedtuple("TwistedStructure", "value algebroid")
+
+
+def _twist(P: Bivector, H: Hamiltonian):
+    """(obstruction, TwistedStructure or None) of the pair; once per (P, H).
+
+    Both obstruction routes are compared, and the twisted structure is
+    built when the obstruction vanishes. The result is memoised on H under
+    ("twist", P), a value key, so an equal bivector read back off a graph
+    frame finds it.
+    """
+    space = H.space
+    if P.space != space:
+        raise ValueError("bivector and Hamiltonian live on different spaces")
+    key = ("twist", P)
+    if key in H._memo:
+        return H._memo[key]
+    A = project_to_E(H)
+    parts = bidegree_split(H)
+    obstruction = _xi_restriction(space, gauge_transform(H.value, P))
+    pmv = transport(P.value, A.mv_table())
+    square = schouten(A, pmv, pmv)
+    phi = parts.phi.value
+    path2 = transport(square, space.table) * Fraction(-1, 2) - sharp_substitution(P, phi)
+    if obstruction != path2:
+        raise InternalConsistencyError("twist obstruction paths disagree")
+    twisted = None
+    if obstruction.is_zero:
+        n = space.split_rank
+        value = poisson_bracket(P.value, parts.mu.value, space)
+        if not phi.is_zero:
+            inner = poisson_bracket(P.value, poisson_bracket(P.value, phi, space), space)
+            value = value + inner * Fraction(1, 2)
+        c, rho = {}, {}
+        for (odd, even), coeff in value.terms.items():
+            kind = _monomial_type(space, (odd, even))
+            if kind == (1, 2, 0):
+                k, i, j = odd[0] + 1, odd[1] - n + 1, odd[2] - n + 1
+                c[(i, j, k)] = -coeff
+            elif kind == (0, 1, 1):
+                rho[(odd[0] - n + 1, even.index(1) + 1)] = -coeff
+            else:
+                raise InternalConsistencyError("twisted generator has an illegal monomial type")
+        twisted = TwistedStructure(value, SkewAlgebroid(space.chart, n, c, rho))
+    H._memo[key] = obstruction, twisted
+    return obstruction, twisted
+
+
 def quasi_poisson_check(P: Bivector, H: Hamiltonian):
     """(flag, obstruction): does the gauge flow of H vanish on the xi locus?
 
@@ -291,23 +344,8 @@ def quasi_poisson_check(P: Bivector, H: Hamiltonian):
     to y = p = 0, and independently as -1/2 [[P, P]] - (sharp^3) phi via the
     multivector bracket; a mismatch raises.
     """
-    space = H.space
-    if P.space != space:
-        raise ValueError("bivector and Hamiltonian live on different spaces")
-    A = project_to_E(H)
-    flowed = gauge_transform(H.value, P)
-    path1 = _xi_restriction(space, flowed)
-
-    pmv = transport(P.value, A.mv_table())
-    square = schouten(A, pmv, pmv)
-    phi_raw = bidegree_split(H).phi.value
-    path2 = transport(square, space.table) * Fraction(-1, 2) - sharp_substitution(P, phi_raw)
-    if path1 != path2:
-        raise InternalConsistencyError("twist obstruction paths disagree")
-    return path1.is_zero, path1
-
-
-TwistedStructure = namedtuple("TwistedStructure", "value algebroid")
+    obstruction, _ = _twist(P, H)
+    return obstruction.is_zero, obstruction
 
 
 def twisted_hamiltonian(P: Bivector, H: Hamiltonian) -> TwistedStructure:
@@ -317,32 +355,10 @@ def twisted_hamiltonian(P: Bivector, H: Hamiltonian) -> TwistedStructure:
     dual frame gives structure functions c'^{ij}_k = -coeff(xi_i xi_j y^k)
     and anchor rho'^{ib} = -coeff(xi_i p_b).
     """
-    ok, obstruction = quasi_poisson_check(P, H)
-    if not ok:
+    obstruction, twisted = _twist(P, H)
+    if twisted is None:
         raise ValueError(f"pair fails the compatibility check; obstruction {obstruction}")
-    space = H.space
-    n = space.split_rank
-    parts = bidegree_split(H)
-    value = poisson_bracket(P.value, parts.mu.value, space)
-    phi = parts.phi.value
-    if not phi.is_zero:
-        inner = poisson_bracket(P.value, poisson_bracket(P.value, phi, space), space)
-        value = value + inner * Fraction(1, 2)
-    c = {}
-    rho = {}
-    for key, coeff in value.terms.items():
-        odd, even = key
-        kind = _monomial_type(space, key)
-        if kind == (1, 2, 0):
-            k, i, j = odd[0] + 1, odd[1] - n + 1, odd[2] - n + 1
-            c[(i, j, k)] = -coeff
-        elif kind == (0, 1, 1):
-            i = odd[0] - n + 1
-            b = even.index(1) + 1
-            rho[(i, b)] = -coeff
-        else:
-            raise InternalConsistencyError("twisted generator has an illegal monomial type")
-    return TwistedStructure(value, SkewAlgebroid(space.chart, n, c, rho))
+    return twisted
 
 
 def _form_components(A: SkewAlgebroid, omega) -> tuple:
@@ -519,10 +535,8 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
         base_mod = modular_cocycle(A)
         table = ind.table()
         cross = transport(dual_mod.value, table)
-        for a in range(1, n + 1):
-            s = ScalarField.zero(A.chart)
-            for i in range(1, n + 1):
-                s = s + base_mod.component(i) * P.at(i, a)
+        base = [base_mod.component(i) for i in range(1, n + 1)]
+        for a, s in enumerate(P.sharp(base), start=1):
             if not s.is_zero:
                 cross = cross + s * SuperPoly.generator(table, table.odd[a - 1])
         if rel.value != cross:

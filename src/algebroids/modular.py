@@ -131,14 +131,6 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     return Cocycle1(A, value)
 
 
-def _monomial_scalar(chart, expo) -> ScalarField:
-    out = ScalarField.one(chart)
-    for name, e in zip(chart.names, expo):
-        for _ in range(e):
-            out = out * ScalarField.coord(chart, name)
-    return out
-
-
 def d_of_function(A: SkewAlgebroid, f: ScalarField) -> SuperPoly:
     """The structure differential applied to a base function."""
     return A.de_rham_field().apply(SuperPoly.from_scalar(A.table(), f))
@@ -186,7 +178,7 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     frame = [A.frame_section(i) for i in range(1, A.rank + 1)]
     images = []
     for expo in monos:
-        base = _monomial_scalar(chart, expo)
+        base = ScalarField(chart, {expo: 1})
         images.append([A.anchor_action(e_i, base) for e_i in frame])
     keys = set()
     for i, comp in enumerate(components):
@@ -203,10 +195,7 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     solution = solve_linear(rows, rhs, Fraction(0))
     if solution is None:
         return False, None
-    f = ScalarField.zero(chart)
-    for q, expo in zip(solution, monos):
-        if q:
-            f = f + ScalarField.const(chart, q) * _monomial_scalar(chart, expo)
+    f = ScalarField(chart, {expo: q for q, expo in zip(solution, monos) if q})
     if d_of_function(A, f) != value:
         raise InternalConsistencyError("exactness witness fails verification")
     return True, f

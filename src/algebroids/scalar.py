@@ -375,10 +375,15 @@ class ScalarField:
     __slots__ = ("chart", "_k", "_n", "_d")
 
     def __init__(self, chart: BaseChart, num: dict, den: dict | None = None):
-        """num and den map exponent tuples to nonzero ints or Fractions."""
+        """num and den map exponent tuples to ints or Fractions; zeros are dropped."""
         one = (0,) * chart.m
-        if den is not None and not den:
-            raise ZeroDivisionError("scalar division by zero")
+        if 0 in num.values():
+            num = {m: c for m, c in num.items() if c}
+        if den is not None:
+            if 0 in den.values():
+                den = {m: c for m, c in den.items() if c}
+            if not den:
+                raise ZeroDivisionError("scalar division by zero")
         if not num:
             k, num, den = 0, {}, {one: 1}
         else:
@@ -412,7 +417,7 @@ class ScalarField:
     @staticmethod
     def const(chart: BaseChart, value) -> "ScalarField":
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return ScalarField(chart, {(0,) * chart.m: q} if q else {})
+        return ScalarField(chart, {(0,) * chart.m: q})
 
     @staticmethod
     def coord(chart: BaseChart, name: str) -> "ScalarField":

@@ -88,7 +88,11 @@ def _term_key(key: tuple) -> tuple:
 
 
 class SuperPoly:
-    """Element of the graded algebra; immutable, canonical term dict."""
+    """Element of the graded algebra; immutable, canonical term dict.
+
+    The constructor is the one place that drops zero coefficients, so
+    arithmetic may hand it sums that cancelled.
+    """
 
     __slots__ = ("table", "terms")
 
@@ -186,11 +190,7 @@ class SuperPoly:
         terms = dict(self.terms)
         for k, c in o.terms.items():
             s = terms.get(k)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            terms[k] = c if s is None else s + c
         return SuperPoly(self.table, terms)
 
     __radd__ = __add__
@@ -225,11 +225,7 @@ class SuperPoly:
                 if sign < 0:
                     c = -c
                 s = terms.get(key)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                terms[key] = c if s is None else s + c
         return SuperPoly(self.table, terms)
 
     def __rmul__(self, other):
@@ -268,13 +264,10 @@ class SuperPoly:
     def left_partial(self, name: str) -> "SuperPoly":
         """Left derivative by any generator or chart coordinate name."""
         kind, i = self.table.role(name)
-        terms: dict = {}
         if kind == "coord":
-            for k, c in self.terms.items():
-                d = c.partial(name)
-                if not d.is_zero:
-                    terms[k] = d
-        elif kind == "odd":
+            return SuperPoly(self.table, {k: c.partial(name) for k, c in self.terms.items()})
+        terms: dict = {}
+        if kind == "odd":
             for (odd, even), c in self.terms.items():
                 if i not in odd:
                     continue
@@ -282,11 +275,7 @@ class SuperPoly:
                 key = (odd[:pos] + odd[pos + 1 :], even)
                 dc = -c if pos & 1 else c
                 s = terms.get(key)
-                s = dc if s is None else s + dc
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                terms[key] = dc if s is None else s + dc
         else:
             for (odd, even), c in self.terms.items():
                 e = even[i]
@@ -294,12 +283,7 @@ class SuperPoly:
                     continue
                 key = (odd, even[:i] + (e - 1,) + even[i + 1 :])
                 s = terms.get(key)
-                dc = c * e
-                s = dc if s is None else s + dc
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                terms[key] = c * e if s is None else s + c * e
         return SuperPoly(self.table, terms)
 
     def subst_odd(self, images: dict) -> "SuperPoly":
@@ -395,11 +379,7 @@ def transport(f: SuperPoly, table: GeneratorTable) -> SuperPoly:
         key = (tuple(sorted(idx)), tuple(ee))
         cc = -c if inversions & 1 else c
         s = terms.get(key)
-        s = cc if s is None else s + cc
-        if s.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        terms[key] = cc if s is None else s + cc
     return SuperPoly(table, terms)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroids import courant
 from algebroids.algebroid import SkewAlgebroid, bracket_sections, is_lie
 from algebroids.courant import (
     Hamiltonian,
@@ -116,6 +117,24 @@ def test_space_validation():
     other = split_space(CH2, 1)
     with pytest.raises(ValueError):
         poisson_bracket(gen(sp, "y1"), gen(other, "y1"), sp)
+
+
+def test_split_pairing_is_its_own_inverse(monkeypatch):
+    inversions = []
+    invert = courant.invert_matrix
+
+    def counting(*args):
+        inversions.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(courant, "invert_matrix", counting)
+    for n in (1, 3):
+        sp = split_space(CH2, n)
+        assert sp.pairing_inv == sp.pairing
+    assert inversions == []
+    # an unsplit pairing is still inverted
+    SymplecticSpace2(CH1, ("z1", "z2"), [[1, 0], [0, -1]])
+    assert len(inversions) == 1
 
 
 def test_bracket_bilinearity_and_degree():

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids import courant
-from algebroids.algebroid import SkewAlgebroid, bracket_sections
+from algebroids import algebroid, courant, dirac
+from algebroids.algebroid import AlgebroidMorphism, SkewAlgebroid, bracket_sections, is_morphism
 from algebroids.courant import (
     Hamiltonian,
     algebroid_hamiltonian,
+    bidegree_split,
     hamiltonian_square,
     poisson_bracket,
     project_to_E,
@@ -31,7 +32,7 @@ from algebroids.dirac import (
     verify_morphism_cor53,
 )
 from algebroids.errors import DiracClosureError
-from algebroids.modular import modular_cocycle
+from algebroids.modular import modular_class_of_morphism, modular_cocycle
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
@@ -463,3 +464,42 @@ def test_one_projection_per_hamiltonian(monkeypatch):
     relative_modular_class(graph_frame(P), H)
     assert verify_morphism_cor53(P, H)[0]
     assert runs == Counter(generators.keys())
+
+
+def test_one_derivation_per_input(monkeypatch):
+    """The twisted structure is derived once per (P, H), even for the equal
+    bivector read back off a graph frame; the bidegree split once per H; and
+    a morphism's verdict once per morphism."""
+    P = book_bivector()
+    H = Hamiltonian(SP4, mu_ham(TM4, SP4).value + solve_twist(P, TM4))
+    flows = []
+    flow = dirac.gauge_transform
+
+    def counting_flow(F, Q):
+        flows.append(Q)
+        return flow(F, Q)
+
+    monkeypatch.setattr(dirac, "gauge_transform", counting_flow)
+    assert quasi_poisson_check(P, H)[0]
+    twisted_bracket(P, H, (1, 0, 0, 0), (0, 1, 0, 0))
+    relative_modular_class(graph_frame(P), H)
+    assert verify_morphism_cor53(P, H)[0]
+    assert flows == [P]
+    assert bidegree_split(H) is bidegree_split(H)
+
+    pullbacks = []
+    pull = algebroid.pullback
+
+    def counting_pullback(phi, omega):
+        pullbacks.append(omega)
+        return pull(phi, omega)
+
+    monkeypatch.setattr(algebroid, "pullback", counting_pullback)
+    matrix = {(i, j): P.at(i, j) for i in range(1, 5) for j in range(1, 5)}
+    phi = AlgebroidMorphism(twisted_hamiltonian(P, H).algebroid, project_to_E(H), matrix)
+    assert is_morphism(phi)[0]
+    checked = len(pullbacks)
+    assert checked > 0
+    modular_class_of_morphism(phi)
+    assert is_morphism(phi)[0]
+    assert len(pullbacks) == checked

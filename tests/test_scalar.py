@@ -76,6 +76,19 @@ def test_division_by_zero():
         s("x1") / s("x1 - x1")
 
 
+def test_explicit_zero_coefficients_are_dropped():
+    x1 = s("x1")
+    lone = ScalarField(CH2, {(1, 0): 0})
+    assert lone.is_zero and str(lone) == "0" and lone == ScalarField.zero(CH2)
+    padded = ScalarField(CH2, {(0, 0): 0, (1, 0): 2})
+    assert padded == 2 * x1 and str(padded) == "2*x1"
+    assert ScalarField(CH2, {(1, 0): 0, (0, 1): 0}).is_zero
+    assert ScalarField(CH2, {(1, 0): 3}, {(0, 0): 0, (0, 1): 1}) == 3 * x1 / s("x2")
+    with pytest.raises(ZeroDivisionError):
+        ScalarField(CH2, {(1, 0): 1}, {(0, 0): 0, (0, 1): Fraction(0)})
+    assert ScalarField.const(CH2, 0).is_zero
+
+
 def test_gcd_reduction_to_canonical_form():
     x1, x2 = s("x1"), s("x2")
     f = (x1 ** 2 - x2 ** 2) / (x1 + x2)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.scalar import BaseChart, ParseError, ScalarField
 from algebroids.superalg import (
@@ -54,6 +57,82 @@ def test_associativity_randomized():
         g = rand_super_homogeneous(rng, T, rng.randint(0, 2))
         h = rand_super_homogeneous(rng, T, rng.randint(0, 2))
         assert (f * g) * h == f * (g * h)
+
+
+# Hypothesis versions of the seeded laws above, so that a failure shrinks to
+# a minimal case. Coefficients may be drawn as zero, and every result is
+# checked to store no zero coefficient: SuperPoly's constructor is the one
+# place that prunes them.
+LAWS = settings(max_examples=100, deadline=None, derandomize=True)
+# the same generators as T, listed in another order
+T_SHUFFLED = GeneratorTable(CH, odd=("y3", "y1", "y2"), even2=("p2", "p1"))
+scalars = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+    st.fractions(-3, 3, max_denominator=3),
+    max_size=3,
+).map(lambda num: ScalarField(CH, num))
+
+
+def _monomials(degree: int) -> list:
+    """Every (odd, even) key of T of the given total degree."""
+    keys = []
+    for k in range(min(len(T.odd), degree) + 1):
+        if (degree - k) % 2 == 0:
+            e = (degree - k) // 2
+            for odd in combinations(range(len(T.odd)), k):
+                keys += [(odd, (e1, e - e1)) for e1 in range(e + 1)]
+    return keys
+
+
+# (degree, homogeneous value of that degree)
+homogeneous = st.integers(0, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.dictionaries(st.sampled_from(_monomials(d)), scalars, max_size=3).map(
+            lambda terms: SuperPoly(T, terms)
+        ),
+    )
+)
+
+
+def assert_pruned(*values):
+    for value in values:
+        assert all(not c.is_zero for c in value.terms.values()), value.terms
+
+
+@LAWS
+@given(homogeneous, homogeneous)
+def test_supercommutativity_laws(fd, gd):
+    (df, f), (dg, g) = fd, gd
+    fg, gf = f * g, g * f
+    sign = -1 if df & dg & 1 else 1
+    assert fg == sign * gf
+    cancelled = fg - sign * gf
+    assert cancelled.terms == {}
+    assert_pruned(fg, gf, f + g, f - g, g - f, cancelled)
+
+
+@LAWS
+@given(homogeneous, homogeneous, homogeneous)
+def test_associativity_laws(fd, gd, hd):
+    f, g, h = fd[1], gd[1], hd[1]
+    left, right = (f * g) * h, f * (g * h)
+    assert left == right
+    assert (left - right).terms == {}
+    assert_pruned(left, right, f * g + g * h)
+
+
+@LAWS
+@given(homogeneous, homogeneous, st.sampled_from(("x1", "x2", "y1", "y2", "y3", "p1", "p2")))
+def test_leibniz_laws(fd, gd, name):
+    (df, f), (_, g) = fd, gd
+    sign = -1 if T.degree_of(name) & df & 1 else 1
+    lhs = (f * g).left_partial(name)
+    rhs = f.left_partial(name) * g + sign * (f * g.left_partial(name))
+    assert lhs == rhs
+    moved = transport(lhs, T_SHUFFLED)
+    assert transport(moved, T) == lhs
+    assert_pruned(lhs, rhs, f.left_partial(name), g.left_partial(name), moved)
 
 
 def test_left_partial_examples():
