@@ -14,6 +14,17 @@ pinned by the frame-bracket identities tested downstream: with the
 algebroid Hamiltonian below, {{xi_i, mu}, xi_j} = c_{ij}^k xi_k and
 {{xi_i, mu}, x^a} = rho_i^a.
 
+The bracket runs over the nonzero entries of the inverse pairing only,
+listed once per space (a split space reads them off its block form, with
+no arithmetic per entry). It takes the partials of F and G as term
+dicts, each partial of G once per call, and accumulates every product
+into one term dict in place, building a single SuperPoly at the end; an
+entry g^{ij} = +-1 costs no multiplication. Each product is summed on its
+own before it is folded in, in the loop order parity part of F, then
+coordinates, then zeta^i, zeta^j, so every scalar addition is the one that
+adding SuperPolys in that order would make: over Q(x) the order of the
+additions sets the size of the intermediate denominators.
+
 Split spaces mark N = 2n with zeta = (y^1..y^n, xi_1..xi_n) and the
 off-diagonal block pairing, so {y^i, xi_j} = delta^i_j. Cubic
 Hamiltonians on a split space decompose by monomial type:
@@ -38,35 +49,54 @@ from .algebroid import SkewAlgebroid, _coerce_scalar
 from .errors import InternalConsistencyError
 from .linalg import invert_matrix
 from .scalar import BaseChart, ScalarField
-from .superalg import GeneratorTable, SuperPoly, SuperVectorField
+from .superalg import GeneratorTable, SuperPoly, SuperVectorField, _add_product, _partial_terms
 
 
 class SymplecticSpace2:
     """Chart, odd generators with constant pairing, and momenta."""
 
-    __slots__ = ("chart", "zeta", "momenta", "pairing", "pairing_inv", "split_rank", "table")
+    __slots__ = (
+        "chart",
+        "zeta",
+        "momenta",
+        "pairing",
+        "pairing_inv",
+        "split_rank",
+        "table",
+        "_inv_rows",
+    )
 
     def __init__(self, chart: BaseChart, zeta: tuple, pairing, split_rank: int | None = None):
         zeta = tuple(zeta)
-        g = [[Fraction(v) for v in row] for row in pairing]
         n = len(zeta)
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("pairing shape does not match the generators")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("pairing must be symmetric")
-        if split_rank is not None:
-            if n != 2 * split_rank:
-                raise ValueError("split marking needs exactly 2n odd generators")
-            if g != _block_pairing(split_rank):
-                raise ValueError("split marking needs the block pairing")
-            # the block pairing is its own inverse
-            inv = g
+        if (
+            split_rank is not None
+            and n == 2 * split_rank
+            and tuple(map(tuple, pairing)) == _block_pairing(split_rank)
+        ):
+            # the block pairing is symmetric and its own inverse; its rows
+            # each hold one 1, at the conjugate generator
+            g = inv = _block_pairing(split_rank)
+            inv_rows = tuple((((i + split_rank) % n, 1),) for i in range(n))
         else:
-            inv = invert_matrix(g, Fraction(0), Fraction(1))
-            if inv is None:
-                raise ValueError("pairing must be invertible")
+            g = [[Fraction(v) for v in row] for row in pairing]
+            if len(g) != n or any(len(row) != n for row in g):
+                raise ValueError("pairing shape does not match the generators")
+            for i in range(n):
+                for j in range(n):
+                    if g[i][j] != g[j][i]:
+                        raise ValueError("pairing must be symmetric")
+            if split_rank is not None:
+                if n != 2 * split_rank:
+                    raise ValueError("split marking needs exactly 2n odd generators")
+                if tuple(map(tuple, g)) != _block_pairing(split_rank):
+                    raise ValueError("split marking needs the block pairing")
+                inv = g
+            else:
+                inv = invert_matrix(g, Fraction(0), Fraction(1))
+                if inv is None:
+                    raise ValueError("pairing must be invertible")
+            inv_rows = tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in inv)
         momenta = tuple(f"p{a}" for a in range(1, chart.m + 1))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "zeta", zeta)
@@ -75,6 +105,8 @@ class SymplecticSpace2:
         object.__setattr__(self, "pairing_inv", tuple(tuple(row) for row in inv))
         object.__setattr__(self, "split_rank", split_rank)
         object.__setattr__(self, "table", GeneratorTable(chart, odd=zeta, even2=momenta))
+        # the nonzero entries (j, g^{ij}) of each row i of the inverse pairing
+        object.__setattr__(self, "_inv_rows", inv_rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticSpace2 is immutable")
@@ -106,40 +138,47 @@ def split_space(chart: BaseChart, n: int) -> SymplecticSpace2:
     return SymplecticSpace2(chart, names, _block_pairing(n), split_rank=n)
 
 
-def _block_pairing(n: int) -> list:
+def _block_pairing(n: int) -> tuple:
     """The 2n x 2n pairing with {y^i, xi_j} = delta^i_j and all else 0."""
-    return [[int(abs(i - j) == n) for j in range(2 * n)] for i in range(2 * n)]
+    return tuple((0,) * j + (1,) + (0,) * (2 * n - 1 - j) for j in (*range(n, 2 * n), *range(n)))
 
 
 def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> SuperPoly:
     """The graded symplectic bracket; even, degree -2."""
     if F.table != space.table or G.table != space.table:
         raise ValueError("generator table mismatch")
-    table = space.table
-    out = SuperPoly.zero(table)
-    even_part, odd_part = F.parity_split()
-    for part, parity in ((even_part, 0), (odd_part, 1)):
-        if part.is_zero:
+    chart = space.chart
+    g_partials: dict = {}
+
+    def dG(kind: str, i: int) -> dict:
+        d = g_partials.get((kind, i))
+        if d is None:
+            d = g_partials[kind, i] = _partial_terms(G.terms, kind, i)
+        return d
+
+    out: dict = {}
+    for parity in (0, 1):
+        part = {key: c for key, c in F.terms.items() if len(key[0]) & 1 == parity}
+        if not part:
             continue
-        for a, (x_name, p_name) in enumerate(zip(space.chart.names, space.momenta)):
-            dxF = part.left_partial(x_name)
-            if not dxF.is_zero:
-                out = out + dxF * G.left_partial(p_name)
-            dpF = part.left_partial(p_name)
-            if not dpF.is_zero:
-                out = out - dpF * G.left_partial(x_name)
-        zeta_sign = 1 if parity else -1
-        for i, zi in enumerate(space.zeta):
-            dziF = part.left_partial(zi)
-            if dziF.is_zero:
-                continue
-            for j, zj in enumerate(space.zeta):
-                gij = space.pairing_inv[i][j]
-                if not gij:
+        for a in range(chart.m):
+            dxF = _partial_terms(part, "coord", a)
+            if dxF:
+                _add_product(out, dxF, dG("even2", a))
+            dpF = _partial_terms(part, "even2", a)
+            if dpF:
+                _add_product(out, dpF, dG("coord", a), negate=True)
+        # the right derivative by zeta^i is (-1)^(parity+1) times the left one
+        for i in sorted({i for odd, _ in part for i in odd}):
+            dziF = _partial_terms(part, "odd", i)
+            for j, gij in space._inv_rows[i]:
+                dzjG = dG("odd", j)
+                if not dzjG:
                     continue
-                piece = dziF * G.left_partial(zj) * gij
-                out = out + piece if zeta_sign > 0 else out - piece
-    return out
+                negate = (gij < 0) == bool(parity)
+                scale = None if abs(gij) == 1 else ScalarField.const(chart, abs(gij))
+                _add_product(out, dziF, dzjG, scale, negate)
+    return SuperPoly(space.table, out)
 
 
 class Hamiltonian:
@@ -165,12 +204,36 @@ class Hamiltonian:
         return self.space == other.space and self.value == other.value
 
 
+def _monomial_sum(space: SymplecticSpace2, entries) -> SuperPoly:
+    """sum f * (product of the named odd and momentum generators, left to
+    right) over the (names, f) pairs.
+
+    Each monomial is built directly: its odd key is the sorted index tuple,
+    and its Koszul sign is the parity of the inversions that sorting undoes.
+    """
+    table = space.table
+    terms: dict = {}
+    for names, f in entries:
+        odd, even = [], [0] * len(table.even2)
+        for name in names:
+            kind, i = table.role(name)
+            if kind == "odd":
+                odd.append(i)
+            else:
+                even[i] += 1
+        if len(set(odd)) < len(odd):
+            continue
+        if sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :]) & 1:
+            f = -f
+        key = (tuple(sorted(odd)), tuple(even))
+        s = terms.get(key)
+        terms[key] = f if s is None else s + f
+    return SuperPoly(table, terms)
+
+
 def _product(space: SymplecticSpace2, names) -> SuperPoly:
-    """Product of the named generators of the space, left to right."""
-    out = SuperPoly.generator(space.table, names[0])
-    for name in names[1:]:
-        out = out * SuperPoly.generator(space.table, name)
-    return out
+    """Product of the named odd and momentum generators, left to right."""
+    return _monomial_sum(space, [(names, ScalarField.one(space.chart))])
 
 
 def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = None) -> Hamiltonian:
@@ -183,27 +246,24 @@ def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = Non
         space = split_space(A.chart, A.rank)
     elif space.split_rank != A.rank or space.chart != A.chart:
         raise ValueError("space does not match the algebroid")
-    value = SuperPoly.zero(space.table)
-    for (i, j, k), f in A.c.items():
-        value = value - f * _product(space, (space.y_name(i), space.y_name(j), space.xi_name(k)))
-    for (i, b), r in A.rho.items():
-        value = value - r * _product(space, (space.y_name(i), space.momenta[b - 1]))
-    return Hamiltonian(space, value)
+    y, xi = space.y_name, space.xi_name
+    entries = [((y(i), y(j), xi(k)), -f) for (i, j, k), f in A.c.items()]
+    entries += [((y(i), space.momenta[b - 1]), -r) for (i, b), r in A.rho.items()]
+    return Hamiltonian(space, _monomial_sum(space, entries))
 
 
 def standard_hamiltonian(space: SymplecticSpace2, rho: dict, phi: dict) -> Hamiltonian:
     """General-pairing builder: anchor rows rho[(i,a)] and a totally
     antisymmetric cubic phi[(i,j,k)] given for i<j<k."""
-    value = SuperPoly.zero(space.table)
-    for (i, a), r in rho.items():
-        mono = _product(space, (space.zeta[i - 1], space.momenta[a - 1]))
-        value = value - _coerce_scalar(space.chart, r) * mono
+    zeta, chart = space.zeta, space.chart
+    entries = [
+        ((zeta[i - 1], space.momenta[a - 1]), -_coerce_scalar(chart, r)) for (i, a), r in rho.items()
+    ]
     for (i, j, k), f in phi.items():
         if not i < j < k:
             raise ValueError("phi indices must be strictly increasing")
-        mono = _product(space, (space.zeta[i - 1], space.zeta[j - 1], space.zeta[k - 1]))
-        value = value - _coerce_scalar(space.chart, f) * mono
-    return Hamiltonian(space, value)
+        entries.append(((zeta[i - 1], zeta[j - 1], zeta[k - 1]), -_coerce_scalar(chart, f)))
+    return Hamiltonian(space, _monomial_sum(space, entries))
 
 
 def hamiltonian_square(H: Hamiltonian) -> SuperPoly:

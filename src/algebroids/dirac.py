@@ -55,7 +55,7 @@ from .superalg import SuperPoly, transport
 class Bivector:
     """Antisymmetric quadratic P = sum_{i<j} P^{ij} xi_i xi_j on a split space."""
 
-    __slots__ = ("space", "entries")
+    __slots__ = ("space", "entries", "_value")
 
     def __init__(self, space: SymplecticSpace2, entries: dict | None = None):
         if not space.is_split:
@@ -70,6 +70,7 @@ class Bivector:
                 cleaned[(i, j)] = f
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "_value", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bivector is immutable")
@@ -84,13 +85,17 @@ class Bivector:
 
     @property
     def value(self) -> SuperPoly:
-        table = self.space.table
-        out = SuperPoly.zero(table)
-        for (i, j), f in self.entries.items():
-            xi_i = SuperPoly.generator(table, self.space.xi_name(i))
-            xi_j = SuperPoly.generator(table, self.space.xi_name(j))
-            out = out + f * xi_i * xi_j
-        return out
+        """The quadratic element, built on first use."""
+        if self._value is None:
+            object.__setattr__(self, "_value", self._quadratic())
+        return self._value
+
+    def _quadratic(self) -> SuperPoly:
+        # xi_i is odd generator n + i - 1, and i < j keeps the key sorted
+        n = self.space.split_rank
+        zeros = (0,) * len(self.space.table.even2)
+        terms = {((n + i - 1, n + j - 1), zeros): f for (i, j), f in self.entries.items()}
+        return SuperPoly(self.space.table, terms)
 
     def __neg__(self) -> "Bivector":
         return Bivector(self.space, {k: -f for k, f in self.entries.items()})

@@ -19,12 +19,20 @@ where q runs over the even degree-2 generators and theta over the odd
 ones. The sign block is forced: degree-2 even generators must take the
 same sign as the base coordinates or the commutator rule
 div([X,Y]) = X(div Y) - (-1)^{|X||Y|} Y(div X) fails on mixed fields.
+
+Products go through one private kernel, ``_add_product``, which folds the
+product of two term dicts into an accumulator dict in place. Multiplying
+SuperPolys, applying a vector field and the Poisson bracket of
+``courant`` all use it, so a sum of products builds one term dict, not a
+new SuperPoly per product and per partial sum. It keeps the order of
+every scalar addition that adding the products as SuperPolys would make.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .scalar import _IDENT, BaseChart, ParseError, ScalarField, parse_expression
 
@@ -36,29 +44,29 @@ class GeneratorTable:
     chart: BaseChart
     odd: tuple[str, ...]
     even2: tuple[str, ...] = ()
+    _roles: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.odd, list):
             object.__setattr__(self, "odd", tuple(self.odd))
         if isinstance(self.even2, list):
             object.__setattr__(self, "even2", tuple(self.even2))
-        seen = set(self.chart.names)
-        for name in self.odd + self.even2:
-            if not _IDENT.match(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
-            seen.add(name)
+        roles = {name: ("coord", a) for a, name in enumerate(self.chart.names)}
+        for kind, names in (("odd", self.odd), ("even2", self.even2)):
+            for i, name in enumerate(names):
+                if not _IDENT.match(name):
+                    raise ValueError(f"bad generator name {name!r}")
+                if name in roles:
+                    raise ValueError(f"duplicate generator name {name!r}")
+                roles[name] = (kind, i)
+        object.__setattr__(self, "_roles", roles)
 
     def role(self, name: str) -> tuple[str, int]:
         """("coord"|"odd"|"even2", position) for a known name."""
-        if name in self.odd:
-            return "odd", self.odd.index(name)
-        if name in self.even2:
-            return "even2", self.even2.index(name)
-        if name in self.chart.names:
-            return "coord", self.chart.axis(name)
-        raise KeyError(f"unknown generator {name!r}")
+        try:
+            return self._roles[name]
+        except KeyError:
+            raise KeyError(f"unknown generator {name!r}") from None
 
     def degree_of(self, name: str) -> int:
         kind = self.role(name)[0]
@@ -80,6 +88,68 @@ def _merge_odd(a: tuple, b: tuple):
                 inversions += 1
     sign = -1 if inversions & 1 else 1
     return sign, tuple(sorted(a + b))
+
+
+def _add_product(acc: dict, a: dict, b: dict, scale=None, negate: bool = False) -> None:
+    """Fold the product of term dicts a and b into acc, in place.
+
+    The product is summed on its own first, a's terms outer and b's inner,
+    then optionally scaled by a ScalarField and negated, and only then
+    added into acc key by key. A key whose sum cancels leaves acc, as the
+    SuperPoly constructor would drop it. So every scalar addition is the
+    one ``acc + (a * b) * scale`` makes on SuperPolys, in the same order:
+    over Q(x) the order fixes the size of the intermediate denominators.
+    """
+    piece: dict = {}
+    for (oa, ea), ca in a.items():
+        for (ob, eb), cb in b.items():
+            sign, odd = _merge_odd(oa, ob)
+            if sign == 0:
+                continue
+            key = (odd, tuple(map(add, ea, eb)))
+            c = ca * cb
+            if sign < 0:
+                c = -c
+            s = piece.get(key)
+            piece[key] = c if s is None else s + c
+    for key, c in piece.items():
+        if c.is_zero:
+            continue
+        if scale is not None:
+            c = c * scale
+        s = acc.get(key)
+        if s is None:
+            acc[key] = -c if negate else c
+            continue
+        s = s - c if negate else s + c
+        if s.is_zero:
+            del acc[key]
+        else:
+            acc[key] = s
+
+
+def _partial_terms(terms: dict, kind: str, i: int) -> dict:
+    """Left derivative of a term dict by the generator (kind, i); no zeros.
+
+    Distinct terms stay distinct under one derivative, so nothing is summed.
+    """
+    out: dict = {}
+    if kind == "coord":
+        for key, c in terms.items():
+            d = c.partial(i + 1)
+            if not d.is_zero:
+                out[key] = d
+    elif kind == "odd":
+        for (odd, even), c in terms.items():
+            if i in odd:
+                pos = odd.index(i)
+                out[(odd[:pos] + odd[pos + 1 :], even)] = -c if pos & 1 else c
+    else:
+        for (odd, even), c in terms.items():
+            e = even[i]
+            if e:
+                out[(odd, even[:i] + (e - 1,) + even[i + 1 :])] = c if e == 1 else c * e
+    return out
 
 
 def _term_key(key: tuple) -> tuple:
@@ -152,11 +222,6 @@ class SuperPoly:
             raise ValueError("inhomogeneous degree")
         return degrees.pop()
 
-    def parity_split(self) -> tuple["SuperPoly", "SuperPoly"]:
-        even = {k: c for k, c in self.terms.items() if not len(k[0]) & 1}
-        odd = {k: c for k, c in self.terms.items() if len(k[0]) & 1}
-        return SuperPoly(self.table, even), SuperPoly(self.table, odd)
-
     def degree_part(self, d: int) -> "SuperPoly":
         terms = {
             (odd, even): c
@@ -215,17 +280,7 @@ class SuperPoly:
         if o is None:
             return NotImplemented
         terms: dict = {}
-        for (oa, ea), ca in self.terms.items():
-            for (ob, eb), cb in o.terms.items():
-                sign, odd = _merge_odd(oa, ob)
-                if sign == 0:
-                    continue
-                key = (odd, tuple(x + y for x, y in zip(ea, eb)))
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = terms.get(key)
-                terms[key] = c if s is None else s + c
+        _add_product(terms, self.terms, o.terms)
         return SuperPoly(self.table, terms)
 
     def __rmul__(self, other):
@@ -264,27 +319,7 @@ class SuperPoly:
     def left_partial(self, name: str) -> "SuperPoly":
         """Left derivative by any generator or chart coordinate name."""
         kind, i = self.table.role(name)
-        if kind == "coord":
-            return SuperPoly(self.table, {k: c.partial(name) for k, c in self.terms.items()})
-        terms: dict = {}
-        if kind == "odd":
-            for (odd, even), c in self.terms.items():
-                if i not in odd:
-                    continue
-                pos = odd.index(i)
-                key = (odd[:pos] + odd[pos + 1 :], even)
-                dc = -c if pos & 1 else c
-                s = terms.get(key)
-                terms[key] = dc if s is None else s + dc
-        else:
-            for (odd, even), c in self.terms.items():
-                e = even[i]
-                if not e:
-                    continue
-                key = (odd, even[:i] + (e - 1,) + even[i + 1 :])
-                s = terms.get(key)
-                terms[key] = c * e if s is None else s + c * e
-        return SuperPoly(self.table, terms)
+        return SuperPoly(self.table, _partial_terms(self.terms, kind, i))
 
     def subst_odd(self, images: dict) -> "SuperPoly":
         """Algebra morphism sending odd generators to given values.
@@ -418,10 +453,10 @@ class SuperVectorField:
     def apply(self, f: SuperPoly) -> SuperPoly:
         if f.table != self.table:
             raise ValueError("generator table mismatch")
-        out = SuperPoly.zero(self.table)
+        terms: dict = {}
         for name, comp in self.components.items():
-            out = out + comp * f.left_partial(name)
-        return out
+            _add_product(terms, comp.terms, f.left_partial(name).terms)
+        return SuperPoly(self.table, terms)
 
     def __add__(self, other):
         if not isinstance(other, SuperVectorField) or other.table != self.table:

@@ -135,3 +135,83 @@ def is_lie_oracle(A: SkewAlgebroid) -> bool:
                 if not (br(xi[i], br(xi[j], x)) - br(xi[j], br(xi[i], x)) - br(br(xi[i], xi[j]), x)).is_zero:
                     return False
     return True
+
+
+# The graded Poisson bracket from its defining formula. Products and
+# derivatives are written out again here, so that nothing is shared with the
+# library's bracket kernel.
+
+
+def _term_product(a: dict, b: dict) -> dict:
+    """Product of two term dicts; odd factors are bubble-sorted into place,
+    each swap of two neighbours flipping the sign."""
+    out: dict = {}
+    for (odd_a, even_a), ca in a.items():
+        for (odd_b, even_b), cb in b.items():
+            if set(odd_a) & set(odd_b):
+                continue
+            word, sign = list(odd_a + odd_b), 1
+            for end in range(len(word) - 1, 0, -1):
+                for k in range(end):
+                    if word[k] > word[k + 1]:
+                        word[k], word[k + 1] = word[k + 1], word[k]
+                        sign = -sign
+            key = (tuple(word), tuple(e + f for e, f in zip(even_a, even_b)))
+            c = ca * cb * sign
+            out[key] = out[key] + c if key in out else c
+    return out
+
+
+def _left_derivative(terms: dict, space, name: str) -> dict:
+    """d/d(name) from the left: an odd generator leaves with the sign of the
+    odd factors standing before it; a momentum lowers its exponent."""
+    table = space.table
+    out: dict = {}
+    for (odd, even), c in terms.items():
+        if name in table.chart.names:
+            d = c.partial(name)
+            if not d.is_zero:
+                out[(odd, even)] = d
+        elif name in table.odd:
+            i = table.odd.index(name)
+            if i in odd:
+                pos = odd.index(i)
+                out[(odd[:pos] + odd[pos + 1 :], even)] = c if pos % 2 == 0 else -c
+        else:
+            a = table.even2.index(name)
+            if even[a]:
+                lowered = even[:a] + (even[a] - 1,) + even[a + 1 :]
+                out[(odd, lowered)] = c * even[a]
+    return out
+
+
+def poisson_bracket_oracle(F: SuperPoly, G: SuperPoly, space) -> SuperPoly:
+    """{F, G} = sum_a (dF/dx^a dG/dp_a - dF/dp_a dG/dx^a)
+              + sum_{i,j} (F d/dzeta^i) g^{ij} (d/dzeta^j G),
+
+    with the right derivative of the parity-|F| part equal to
+    (-1)^(|F|+1) times the left one, over every entry of the inverse
+    pairing."""
+    total: dict = {}
+
+    def add(terms: dict, factor) -> None:
+        for key, c in terms.items():
+            c = c * factor
+            total[key] = total[key] + c if key in total else c
+
+    for parity in (0, 1):
+        part = {key: c for key, c in F.terms.items() if len(key[0]) % 2 == parity}
+        for x, p in zip(space.chart.names, space.momenta):
+            dxF, dpG = _left_derivative(part, space, x), _left_derivative(G.terms, space, p)
+            dpF, dxG = _left_derivative(part, space, p), _left_derivative(G.terms, space, x)
+            add(_term_product(dxF, dpG), 1)
+            add(_term_product(dpF, dxG), -1)
+        right = 1 if parity else -1
+        for i, zi in enumerate(space.zeta):
+            for j, zj in enumerate(space.zeta):
+                gij = space.pairing_inv[i][j]
+                if gij:
+                    dF = _left_derivative(part, space, zi)
+                    dG = _left_derivative(G.terms, space, zj)
+                    add(_term_product(dF, dG), right * gij)
+    return SuperPoly(space.table, total)

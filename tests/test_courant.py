@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids import courant
 from algebroids.algebroid import SkewAlgebroid, bracket_sections, is_lie
@@ -27,6 +29,7 @@ from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
 from genlib import rand_lie, rand_skew, rand_super_homogeneous
+from oracles import poisson_bracket_oracle
 
 CH1 = BaseChart(("x1",))
 CH2 = BaseChart(("x1", "x2"))
@@ -135,6 +138,47 @@ def test_split_pairing_is_its_own_inverse(monkeypatch):
     # an unsplit pairing is still inverted
     SymplecticSpace2(CH1, ("z1", "z2"), [[1, 0], [0, -1]])
     assert len(inversions) == 1
+
+
+# The bracket kernel against the defining formula, on split spaces of rank
+# 1-3 and on unsplit pairings whose inverses hold entries other than 0 and
+# +-1. F and G are drawn with mixed parity and degree, and with polynomial
+# and rational coefficients.
+ORACLE_SPACES = [split_space(CH2, n) for n in (1, 2, 3)] + [
+    SymplecticSpace2(CH2, ("z1", "z2"), [[2, 1], [1, -1]]),
+    SymplecticSpace2(CH2, ("z1", "z2", "z3"), [[0, 2, 1], [2, 0, 0], [1, 0, Fraction(-1, 3)]]),
+]
+coefficients = st.tuples(
+    st.dictionaries(
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        st.fractions(-3, 3, max_denominator=3),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from([None, None, {(0, 0): 1, (1, 0): 1}, {(0, 0): 2, (0, 1): -1}]),
+).map(lambda nd: ScalarField(CH2, *nd))
+
+
+def elements(space):
+    keys = st.tuples(
+        st.lists(st.integers(0, len(space.zeta) - 1), max_size=3, unique=True).map(
+            lambda odd: tuple(sorted(odd))
+        ),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    return st.dictionaries(keys, coefficients, max_size=4).map(
+        lambda terms: SuperPoly(space.table, terms)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_bracket_matches_the_defining_formula(data):
+    space = data.draw(st.sampled_from(ORACLE_SPACES))
+    F, G = data.draw(elements(space)), data.draw(elements(space))
+    bracket = poisson_bracket(F, G, space)
+    assert bracket == poisson_bracket_oracle(F, G, space)
+    assert all(not c.is_zero for c in bracket.terms.values())
 
 
 def test_bracket_bilinearity_and_degree():

@@ -503,3 +503,23 @@ def test_one_derivation_per_input(monkeypatch):
     modular_class_of_morphism(phi)
     assert is_morphism(phi)[0]
     assert len(pullbacks) == checked
+
+
+def test_bivector_value_built_once(monkeypatch):
+    """One quasi_poisson_check builds the quadratic element of its bivector
+    once, though the gauge series reads it once per term."""
+    H = Hamiltonian(SP4, mu_ham(TM4, SP4).value + solve_twist(book_bivector(), TM4))
+    builds = []
+    build = Bivector._quadratic
+
+    def counting(P):
+        builds.append(P)
+        return build(P)
+
+    monkeypatch.setattr(Bivector, "_quadratic", counting)
+    P = book_bivector()
+    assert quasi_poisson_check(P, H)[0]
+    assert builds == [P]
+    assert P.value is P.value
+    assert P.value == sp(SP4, "xi1*xi2 + (1 + x1)*xi3*xi4")
+    assert (-P).value == -P.value
