@@ -23,7 +23,14 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .linalg import invert_matrix
 from .scalar import BaseChart, ScalarField
-from .superalg import GeneratorTable, SuperPoly, SuperVectorField, commutator, transport
+from .superalg import (
+    GeneratorTable,
+    SuperPoly,
+    SuperVectorField,
+    _monomial_sum,
+    commutator,
+    transport,
+)
 
 
 def _coerce_scalar(chart: BaseChart, value) -> ScalarField:
@@ -34,6 +41,25 @@ def _coerce_scalar(chart: BaseChart, value) -> ScalarField:
     if isinstance(value, (int, Fraction)):
         return ScalarField.const(chart, value)
     raise TypeError(f"cannot use {value!r} as a scalar")
+
+
+def _components(chart: BaseChart, n: int, values) -> tuple:
+    """Coerce a length-n sequence of scalars: a section or a covector."""
+    values = tuple(_coerce_scalar(chart, v) for v in values)
+    if len(values) != n:
+        raise ValueError("section length does not match the rank")
+    return values
+
+
+def _form_coefficient(omega: SuperPoly, i: int) -> ScalarField:
+    """Coefficient of the i-th frame form y^i, 1-based, in a form."""
+    return omega.terms.get(((i - 1,), ()), ScalarField.zero(omega.table.chart))
+
+
+def _components_to_form(A: SkewAlgebroid, comps) -> SuperPoly:
+    """The y-linear form sum_i comps[i - 1] y^i on A's form table."""
+    table = A.table()
+    return _monomial_sum(table, zip(((y,) for y in table.odd), comps))
 
 
 class SkewAlgebroid:
@@ -94,10 +120,7 @@ class SkewAlgebroid:
 
     def section(self, values) -> tuple:
         """Coerce a length-n sequence into section encoding."""
-        values = tuple(_coerce_scalar(self.chart, v) for v in values)
-        if len(values) != self.rank:
-            raise ValueError("section length does not match the rank")
-        return values
+        return _components(self.chart, self.rank, values)
 
     def frame_section(self, i: int) -> tuple:
         return tuple(
@@ -121,23 +144,13 @@ class SkewAlgebroid:
     def de_rham_field(self) -> SuperVectorField:
         if "field" not in self._memo:
             table = self.table()
-            comps = {}
-            for k in range(1, self.rank + 1):
-                acc = SuperPoly.zero(table)
-                for (i, j, kk), f in self.c.items():
-                    if kk != k:
-                        continue
-                    yi = SuperPoly.generator(table, table.odd[i - 1])
-                    yj = SuperPoly.generator(table, table.odd[j - 1])
-                    acc = acc - f * yi * yj
-                comps[table.odd[k - 1]] = acc
-            for b in range(1, self.chart.m + 1):
-                acc = SuperPoly.zero(table)
-                for i in range(1, self.rank + 1):
-                    r = self.rho_at(i, b)
-                    if not r.is_zero:
-                        acc = acc + r * SuperPoly.generator(table, table.odd[i - 1])
-                comps[self.chart.names[b - 1]] = acc
+            y = table.odd
+            entries = {name: [] for name in (*y, *self.chart.names)}
+            for (i, j, k), f in self.c.items():
+                entries[y[k - 1]].append(((y[i - 1], y[j - 1]), -f))
+            for (i, b), r in self.rho.items():
+                entries[self.chart.names[b - 1]].append(((y[i - 1],), r))
+            comps = {name: _monomial_sum(table, e) for name, e in entries.items()}
             self._memo["field"] = SuperVectorField(table, comps)
         return self._memo["field"]
 
@@ -249,9 +262,6 @@ class AlgebroidMorphism:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebroidMorphism is immutable")
 
-    def entry(self, i: int, j: int) -> ScalarField:
-        return self.matrix.get((i, j), ScalarField.zero(self.source.chart))
-
 
 def pullback(phi: AlgebroidMorphism, omega: SuperPoly) -> SuperPoly:
     """Substitute target frame forms along the morphism matrix."""
@@ -259,21 +269,10 @@ def pullback(phi: AlgebroidMorphism, omega: SuperPoly) -> SuperPoly:
     src = phi.source.table()
     if omega.table != tgt:
         raise ValueError("omega must live on the target form table")
-    images = []
-    for j in range(1, phi.target.rank + 1):
-        img = SuperPoly.zero(src)
-        for i in range(1, phi.source.rank + 1):
-            f = phi.entry(i, j)
-            if not f.is_zero:
-                img = img + f * SuperPoly.generator(src, src.odd[i - 1])
-        images.append(img)
-    out = SuperPoly.zero(src)
-    for (odd, _even), coeff in omega.terms.items():
-        piece = SuperPoly.from_scalar(src, coeff)
-        for j in odd:
-            piece = piece * images[j]
-        out = out + piece
-    return out
+    entries = {y: [] for y in tgt.odd}
+    for (i, j), f in phi.matrix.items():
+        entries[tgt.odd[j - 1]].append(((src.odd[i - 1],), f))
+    return omega.subst_odd({y: _monomial_sum(src, e) for y, e in entries.items()}, src)
 
 
 def is_morphism(phi: AlgebroidMorphism):

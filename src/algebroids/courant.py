@@ -49,7 +49,14 @@ from .algebroid import SkewAlgebroid, _coerce_scalar
 from .errors import InternalConsistencyError
 from .linalg import invert_matrix
 from .scalar import BaseChart, ScalarField
-from .superalg import GeneratorTable, SuperPoly, SuperVectorField, _add_product, _partial_terms
+from .superalg import (
+    GeneratorTable,
+    SuperPoly,
+    SuperVectorField,
+    _add_product,
+    _monomial_sum,
+    _partial_terms,
+)
 
 
 class SymplecticSpace2:
@@ -204,38 +211,6 @@ class Hamiltonian:
         return self.space == other.space and self.value == other.value
 
 
-def _monomial_sum(space: SymplecticSpace2, entries) -> SuperPoly:
-    """sum f * (product of the named odd and momentum generators, left to
-    right) over the (names, f) pairs.
-
-    Each monomial is built directly: its odd key is the sorted index tuple,
-    and its Koszul sign is the parity of the inversions that sorting undoes.
-    """
-    table = space.table
-    terms: dict = {}
-    for names, f in entries:
-        odd, even = [], [0] * len(table.even2)
-        for name in names:
-            kind, i = table.role(name)
-            if kind == "odd":
-                odd.append(i)
-            else:
-                even[i] += 1
-        if len(set(odd)) < len(odd):
-            continue
-        if sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :]) & 1:
-            f = -f
-        key = (tuple(sorted(odd)), tuple(even))
-        s = terms.get(key)
-        terms[key] = f if s is None else s + f
-    return SuperPoly(table, terms)
-
-
-def _product(space: SymplecticSpace2, names) -> SuperPoly:
-    """Product of the named odd and momentum generators, left to right."""
-    return _monomial_sum(space, [(names, ScalarField.one(space.chart))])
-
-
 def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = None) -> Hamiltonian:
     """The cubic Hamiltonian whose derived bracket is the algebroid's.
 
@@ -249,7 +224,7 @@ def algebroid_hamiltonian(A: SkewAlgebroid, space: SymplecticSpace2 | None = Non
     y, xi = space.y_name, space.xi_name
     entries = [((y(i), y(j), xi(k)), -f) for (i, j, k), f in A.c.items()]
     entries += [((y(i), space.momenta[b - 1]), -r) for (i, b), r in A.rho.items()]
-    return Hamiltonian(space, _monomial_sum(space, entries))
+    return Hamiltonian(space, _monomial_sum(space.table, entries))
 
 
 def standard_hamiltonian(space: SymplecticSpace2, rho: dict, phi: dict) -> Hamiltonian:
@@ -263,7 +238,7 @@ def standard_hamiltonian(space: SymplecticSpace2, rho: dict, phi: dict) -> Hamil
         if not i < j < k:
             raise ValueError("phi indices must be strictly increasing")
         entries.append(((zeta[i - 1], zeta[j - 1], zeta[k - 1]), -_coerce_scalar(chart, f)))
-    return Hamiltonian(space, _monomial_sum(space, entries))
+    return Hamiltonian(space, _monomial_sum(space.table, entries))
 
 
 def hamiltonian_square(H: Hamiltonian) -> SuperPoly:

@@ -23,11 +23,15 @@ the twisted generator are memoised on the Hamiltonian.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 from .algebroid import (
     AlgebroidMorphism,
     SkewAlgebroid,
     _coerce_scalar,
+    _components,
+    _components_to_form,
+    _form_coefficient,
     bracket_sections,
     interior_product,
     is_morphism,
@@ -38,7 +42,6 @@ from .courant import (
     Hamiltonian,
     SymplecticSpace2,
     _monomial_type,
-    _product,
     anchor_apply,
     bidegree_split,
     derived_bracket,
@@ -49,7 +52,7 @@ from .errors import DiracClosureError, InternalConsistencyError
 from .linalg import matrix_rank, row_reduce, solve_linear
 from .modular import Cocycle1, modular_class_of_morphism, modular_cocycle
 from .scalar import ScalarField
-from .superalg import SuperPoly, transport
+from .superalg import SuperPoly, _monomial_sum, transport
 
 
 class Bivector:
@@ -111,7 +114,7 @@ class Bivector:
     def sharp(self, alpha) -> tuple:
         """Section components of P#(alpha): X_j = sum_i alpha_i P^{ij}."""
         n = self.space.split_rank
-        alpha = _component_tuple(self.space.chart, n, alpha)
+        alpha = _components(self.space.chart, n, alpha)
         return tuple(
             sum(
                 (alpha[i - 1] * self.at(i, j) for i in range(1, n + 1)),
@@ -123,7 +126,7 @@ class Bivector:
     def pairing(self, alpha, beta) -> ScalarField:
         """P(alpha, beta) = sum alpha_i P^{ij} beta_j."""
         n = self.space.split_rank
-        beta = _component_tuple(self.space.chart, n, beta)
+        beta = _components(self.space.chart, n, beta)
         image = self.sharp(alpha)
         return sum(
             (image[j - 1] * beta[j - 1] for j in range(1, n + 1)),
@@ -137,13 +140,6 @@ class Bivector:
         for (i, j) in sorted(self.entries):
             bits.append(f"({self.entries[(i, j)]})*{self.space.xi_name(i)}*{self.space.xi_name(j)}")
         return " + ".join(bits)
-
-
-def _component_tuple(chart, n: int, values) -> tuple:
-    values = tuple(_coerce_scalar(chart, v) for v in values)
-    if len(values) != n:
-        raise ValueError("component count does not match the rank")
-    return values
 
 
 class DiracFrame:
@@ -228,23 +224,17 @@ class DiracFrame:
         return Bivector(self.space, entries)
 
 
-def _xi_image(P: Bivector, i: int) -> SuperPoly:
-    """sum_j P^{ij} xi_j, the image of y^i under the sharp map."""
-    space = P.space
-    out = SuperPoly.zero(space.table)
-    for j in range(1, space.split_rank + 1):
-        f = P.at(i, j)
-        if not f.is_zero:
-            out = out + f * SuperPoly.generator(space.table, space.xi_name(j))
-    return out
-
-
 def graph_frame(P: Bivector) -> DiracFrame:
     """The frame D_a = y^a + sum_j P^{aj} xi_j."""
     space = P.space
+    n = space.split_rank
+    one = ScalarField.one(space.chart)
     sections = [
-        SuperPoly.generator(space.table, space.y_name(a)) + _xi_image(P, a)
-        for a in range(1, space.split_rank + 1)
+        _monomial_sum(
+            space.table,
+            [((space.y_name(a),), one)] + [((space.xi_name(j),), P.at(a, j)) for j in range(1, n + 1)],
+        )
+        for a in range(1, n + 1)
     ]
     return DiracFrame(space, sections)
 
@@ -280,7 +270,14 @@ def sharp_substitution(P: Bivector, F: SuperPoly) -> SuperPoly:
     space = P.space
     if F.table != space.table:
         raise ValueError("argument must live on the space table")
-    return F.subst_odd({space.y_name(i): _xi_image(P, i) for i in range(1, space.split_rank + 1)})
+    n = space.split_rank
+    images = {
+        space.y_name(i): _monomial_sum(
+            space.table, [((space.xi_name(j),), P.at(i, j)) for j in range(1, n + 1)]
+        )
+        for i in range(1, n + 1)
+    }
+    return F.subst_odd(images)
 
 
 def _xi_restriction(space: SymplecticSpace2, F: SuperPoly) -> SuperPoly:
@@ -369,25 +366,12 @@ def twisted_hamiltonian(P: Bivector, H: Hamiltonian) -> TwistedStructure:
 def _form_components(A: SkewAlgebroid, omega) -> tuple:
     """Coefficient tuple of a y-linear form, or coerce a plain sequence."""
     if isinstance(omega, SuperPoly):
-        table = A.table()
-        if omega.table != table:
+        if omega.table != A.table():
             raise ValueError("covector must live on the form table")
         if not (omega.is_zero or omega == omega.degree_part(1)):
             raise ValueError("covector must be homogeneous of degree 1")
-        comps = []
-        for i in range(A.rank):
-            comps.append(omega.terms.get(((i,), ()), ScalarField.zero(A.chart)))
-        return tuple(comps)
+        return tuple(_form_coefficient(omega, i) for i in range(1, A.rank + 1))
     return A.section(omega)
-
-
-def _components_to_form(A: SkewAlgebroid, comps) -> SuperPoly:
-    table = A.table()
-    out = SuperPoly.zero(table)
-    for i, f in enumerate(comps):
-        if not f.is_zero:
-            out = out + f * SuperPoly.generator(table, table.odd[i])
-    return out
 
 
 def twisted_bracket(P: Bivector, H: Hamiltonian, alpha, beta) -> SuperPoly:
@@ -435,14 +419,10 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
     table = space.table
     pmv = transport(P.value, A.mv_table())
     target = transport(schouten(A, pmv, pmv), table) * Fraction(-1, 2)
-    combos = []
-    columns = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                mono = _product(space, (space.y_name(i), space.y_name(j), space.y_name(k)))
-                combos.append(mono)
-                columns.append(sharp_substitution(P, mono))
+    one = ScalarField.one(A.chart)
+    # the y^i y^j y^k with i < j < k, by generator names
+    combos = list(combinations(space.zeta[:n], 3))
+    columns = [sharp_substitution(P, _monomial_sum(table, [(names, one)])) for names in combos]
     keys = sorted(set(target.terms) | {key for col in columns for key in col.terms})
     zero = ScalarField.zero(A.chart)
     if not combos:
@@ -452,10 +432,7 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
     solution = solve_linear(rows, rhs, zero)
     if solution is None:
         return None
-    phi = SuperPoly.zero(table)
-    for coeff, mono in zip(solution, combos):
-        if not coeff.is_zero:
-            phi = phi + coeff * mono
+    phi = _monomial_sum(table, zip(combos, solution))
     if sharp_substitution(P, phi) != target:
         raise InternalConsistencyError("twist solver produced a non-solution")
     return phi
@@ -538,12 +515,8 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
         tw = twisted_hamiltonian(P, H)
         dual_mod = modular_cocycle(tw.algebroid)
         base_mod = modular_cocycle(A)
-        table = ind.table()
-        cross = transport(dual_mod.value, table)
         base = [base_mod.component(i) for i in range(1, n + 1)]
-        for a, s in enumerate(P.sharp(base), start=1):
-            if not s.is_zero:
-                cross = cross + s * SuperPoly.generator(table, table.odd[a - 1])
+        cross = transport(dual_mod.value, ind.table()) + _components_to_form(ind, P.sharp(base))
         if rel.value != cross:
             raise InternalConsistencyError("relative class paths disagree")
     return rel

@@ -23,7 +23,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebroid import SkewAlgebroid, bracket_sections, is_morphism, pullback, _coerce_scalar
+from .algebroid import (
+    SkewAlgebroid,
+    _coerce_scalar,
+    _components_to_form,
+    _form_coefficient,
+    bracket_sections,
+    is_morphism,
+    pullback,
+)
 from .errors import InternalConsistencyError
 from .linalg import solve_linear
 from .scalar import ScalarField
@@ -52,8 +60,7 @@ class Cocycle1:
 
     def component(self, i: int) -> ScalarField:
         """Coefficient of the i-th frame generator, 1-based."""
-        key = ((i - 1,), ())
-        return self.value.terms.get(key, ScalarField.zero(self.algebroid.chart))
+        return _form_coefficient(self.value, i)
 
     @property
     def is_zero(self) -> bool:
@@ -93,20 +100,15 @@ def _structure_trace(A: SkewAlgebroid, i: int) -> ScalarField:
 def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     """Divergence of the structure differential, cross-checked against
     the structure-constant trace formula."""
-    table = A.table()
     if gauge is None:
         div = divergence(A.de_rham_field())
     else:
         g = _coerce_scalar(A.chart, gauge)
         div = gauge_divergence(A.de_rham_field(), g)
-    closed_form = SuperPoly.zero(table)
-    for i in range(1, A.rank + 1):
-        coeff = _structure_trace(A, i)
-        if gauge is not None:
-            coeff = coeff + A.anchor_action(A.frame_section(i), g) / g
-        if not coeff.is_zero:
-            closed_form = closed_form + coeff * SuperPoly.generator(table, table.odd[i - 1])
-    if div != closed_form:
+    coeffs = [_structure_trace(A, i) for i in range(1, A.rank + 1)]
+    if gauge is not None:
+        coeffs = [f + A.anchor_action(A.frame_section(i), g) / g for i, f in enumerate(coeffs, 1)]
+    if div != _components_to_form(A, coeffs):
         raise InternalConsistencyError("modular cocycle paths disagree")
     return Cocycle1(A, div)
 
@@ -114,9 +116,8 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
 def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     """Frame-trace route: adjoint trace through the section bracket plus
     the anchor divergence, per frame direction."""
-    table = A.table()
-    value = SuperPoly.zero(table)
     g = None if gauge is None else _coerce_scalar(A.chart, gauge)
+    coeffs = []
     for i in range(1, A.rank + 1):
         e_i = A.frame_section(i)
         coeff = ScalarField.zero(A.chart)
@@ -126,9 +127,8 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
             coeff = coeff + A.rho_at(i, a).partial(a)
         if g is not None:
             coeff = coeff + A.anchor_action(e_i, g) / g
-        if not coeff.is_zero:
-            value = value + coeff * SuperPoly.generator(table, table.odd[i - 1])
-    return Cocycle1(A, value)
+        coeffs.append(coeff)
+    return Cocycle1(A, _components_to_form(A, coeffs))
 
 
 def d_of_function(A: SkewAlgebroid, f: ScalarField) -> SuperPoly:
@@ -157,7 +157,7 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     chart = A.chart
     components = []
     for i in range(1, A.rank + 1):
-        comp = value.terms.get(((i - 1,), ()), ScalarField.zero(chart))
+        comp = _form_coefficient(value, i)
         if not comp.is_polynomial:
             raise ValueError("exactness search needs polynomial components")
         components.append(comp)

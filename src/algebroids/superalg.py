@@ -20,12 +20,20 @@ ones. The sign block is forced: degree-2 even generators must take the
 same sign as the base coordinates or the commutator rule
 div([X,Y]) = X(div Y) - (-1)^{|X||Y|} Y(div X) fails on mixed fields.
 
-Products go through one private kernel, ``_add_product``, which folds the
+Two private builders make every term dict. ``_add_product`` folds the
 product of two term dicts into an accumulator dict in place. Multiplying
-SuperPolys, applying a vector field and the Poisson bracket of
-``courant`` all use it, so a sum of products builds one term dict, not a
-new SuperPoly per product and per partial sum. It keeps the order of
+SuperPolys, applying a vector field, substitution and the Poisson bracket
+of ``courant`` all use it, so a sum of products builds one term dict, not
+a new SuperPoly per product and per partial sum. It keeps the order of
 every scalar addition that adding the products as SuperPolys would make.
+``_monomial_sum`` builds a sum of coefficients times named generator
+monomials directly, with no product at all: frame forms, the de Rham
+field, Hamiltonians and substitution images are made with it.
+
+``SuperPoly.subst_odd`` is the one odd-substitution kernel: an algebra
+morphism that sends odd generators to given values, possibly on another
+table over the same chart. ``algebroid.pullback`` and
+``dirac.sharp_substitution`` are calls to it.
 """
 
 from __future__ import annotations
@@ -126,6 +134,32 @@ def _add_product(acc: dict, a: dict, b: dict, scale=None, negate: bool = False) 
             del acc[key]
         else:
             acc[key] = s
+
+
+def _monomial_sum(table: GeneratorTable, entries) -> "SuperPoly":
+    """sum f * (product of the named odd and degree-2 generators, left to
+    right) over the (names, f) pairs.
+
+    Each monomial is built directly: its odd key is the sorted index tuple,
+    and its Koszul sign is the parity of the inversions that sorting undoes.
+    """
+    terms: dict = {}
+    for names, f in entries:
+        odd, even = [], [0] * len(table.even2)
+        for name in names:
+            kind, i = table.role(name)
+            if kind == "odd":
+                odd.append(i)
+            else:
+                even[i] += 1
+        if len(set(odd)) < len(odd):
+            continue
+        if sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :]) & 1:
+            f = -f
+        key = (tuple(sorted(odd)), tuple(even))
+        s = terms.get(key)
+        terms[key] = f if s is None else s + f
+    return SuperPoly(table, terms)
 
 
 def _partial_terms(terms: dict, kind: str, i: int) -> dict:
@@ -321,33 +355,39 @@ class SuperPoly:
         kind, i = self.table.role(name)
         return SuperPoly(self.table, _partial_terms(self.terms, kind, i))
 
-    def subst_odd(self, images: dict) -> "SuperPoly":
-        """Algebra morphism sending odd generators to given values.
+    def subst_odd(self, images: dict, table: GeneratorTable | None = None) -> "SuperPoly":
+        """Algebra morphism sending odd generators to the given values.
 
-        Unlisted generators stay put. Images must live on the same table.
+        The images live on ``table``, by default this value's own, where
+        unlisted generators stay put. Another table must share the chart and
+        the even generators, and every odd generator present needs an image.
+        Each term is multiplied out factor by factor, its coefficient first,
+        and its last product is folded straight into the result.
         """
-        table = self.table
-        gens = {}
+        src = self.table
+        table = src if table is None else table
+        if (table.chart, table.even2) != (src.chart, src.even2):
+            raise ValueError("substitution must keep the chart and the even generators")
+        one = ScalarField.one(table.chart)
+        zeros = (0,) * len(table.even2)
+        gens = {i: {((i,), zeros): one} for i in range(len(src.odd))} if table == src else {}
         for name, img in images.items():
-            kind, i = table.role(name)
+            kind, i = src.role(name)
             if kind != "odd":
                 raise ValueError(f"{name!r} is not an odd generator")
             if not isinstance(img, SuperPoly) or img.table != table:
                 raise ValueError("image table mismatch")
-            gens[i] = img
-        out = SuperPoly.zero(table)
-        zeros = (0,) * len(table.even2)
+            gens[i] = img.terms
+        if not gens.keys() >= {i for odd, _ in self.terms for i in odd}:
+            raise ValueError("every odd generator present needs an image on another table")
+        out: dict = {}
         for (odd, even), c in self.terms.items():
-            piece = SuperPoly(table, {((), zeros): c})
-            for i in odd:
-                factor = gens.get(i)
-                if factor is None:
-                    factor = SuperPoly(table, {((i,), zeros): ScalarField.one(table.chart)})
-                piece = piece * factor
-            if any(even):
-                piece = piece * SuperPoly(table, {((), even): ScalarField.one(table.chart)})
-            out = out + piece
-        return out
+            piece = {((), even): c}
+            for i in odd[:-1]:
+                piece, left = {}, piece
+                _add_product(piece, left, gens[i])
+            _add_product(out, piece, gens[odd[-1]] if odd else {((), zeros): one})
+        return SuperPoly(table, out)
 
     # printing
 
@@ -391,26 +431,28 @@ def transport(f: SuperPoly, table: GeneratorTable) -> SuperPoly:
     """Move a value onto another table over the same chart, by name.
 
     Every generator appearing in f must be a generator of the same kind in
-    the target table; index reordering signs are accounted for.
+    the target table, or ValueError names it; index reordering signs are
+    accounted for.
     """
     if f.table.chart != table.chart:
         raise ValueError("charts differ")
+
+    def index(name: str, kind: str) -> int:
+        role = table._roles.get(name)
+        if role is None:
+            raise ValueError(f"generator {name!r} is not in the target table")
+        if role[0] != kind:
+            raise ValueError(f"{kind} generator {name!r} mapped onto a non-{kind} name")
+        return role[1]
+
     terms: dict = {}
     for (odd, even), c in f.terms.items():
-        new = [table.role(f.table.odd[i]) for i in odd]
-        if any(kind != "odd" for kind, _ in new):
-            raise ValueError("odd generator mapped onto a non-odd name")
-        idx = [i for _, i in new]
-        inversions = sum(
-            1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if idx[a] > idx[b]
-        )
+        idx = [index(f.table.odd[i], "odd") for i in odd]
+        inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1 :])
         ee = [0] * len(table.even2)
         for name, e in zip(f.table.even2, even):
             if e:
-                kind, i = table.role(name)
-                if kind != "even2":
-                    raise ValueError("even generator mapped onto a non-even name")
-                ee[i] += e
+                ee[index(name, "even2")] += e
         key = (tuple(sorted(idx)), tuple(ee))
         cc = -c if inversions & 1 else c
         s = terms.get(key)

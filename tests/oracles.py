@@ -215,3 +215,23 @@ def poisson_bracket_oracle(F: SuperPoly, G: SuperPoly, space) -> SuperPoly:
                     dG = _left_derivative(G.terms, space, zj)
                     add(_term_product(dF, dG), right * gij)
     return SuperPoly(space.table, total)
+
+
+# Odd substitution from its definition: each odd factor of a term is replaced
+# by its image and the factors are multiplied out left to right with
+# _term_product above, whose bubble sort gives the Koszul signs. Nothing is
+# shared with the library's product or substitution kernels.
+
+
+def substitution_oracle(F: SuperPoly, images: dict, table) -> SuperPoly:
+    """The algebra morphism sending the odd generator of index i of F's
+    table to the term dict images[i] on ``table``; even exponents carry
+    over unchanged, so both tables list the same even generators."""
+    total: dict = {}
+    for (odd, even), c in F.terms.items():
+        product = {((), even): c}
+        for i in odd:
+            product = _term_product(product, images[i])
+        for key, v in product.items():
+            total[key] = total[key] + v if key in total else v
+    return SuperPoly(table, total)

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from algebroids import courant
 from algebroids.algebroid import SkewAlgebroid, bracket_sections, schouten
+from algebroids.errors import InternalConsistencyError
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
-from algebroids.superalg import SuperPoly, parse_super
+from algebroids.superalg import SuperPoly, parse_super, transport
 
 from genlib import rand_lie, rand_poly, rand_skew, rand_super_homogeneous
 from oracles import schouten_oracle
@@ -133,3 +135,17 @@ def test_table_mismatch_rejected():
     other = tangent(CH4)
     with pytest.raises(ValueError):
         schouten(tm, mv(other, "xi1"), mv(other, "xi2"))
+
+
+def test_leaving_the_multivector_algebra_is_inconsistent(monkeypatch):
+    """transport onto a table that lacks a generator raises ValueError, so a
+    bracket that comes back holding y or p is an internal inconsistency."""
+    A = tangent(CH1)
+    space = courant.split_space(CH1, 1)
+    stray = parse_super("y1*xi1", space.table)
+    for value in (stray, parse_super("p1", space.table)):
+        with pytest.raises(ValueError, match="not in the target table"):
+            transport(value, A.mv_table())
+    monkeypatch.setattr(courant, "poisson_bracket", lambda F, G, space: stray)
+    with pytest.raises(InternalConsistencyError):
+        schouten(A, mv(A, "xi1"), mv(A, "x1"))
