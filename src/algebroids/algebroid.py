@@ -1,7 +1,10 @@
 """Skew and Lie algebroids over a single chart.
 
 Structure data is a rank, antisymmetric structure functions c (stored
-for i<j only) and anchor components rho. Three encodings share the
+for i<j only) and anchor components rho, nonzero entries only. Every
+structure loop walks the stored entries; c_at and rho_at, which read an
+absent entry as zero, serve tests and oracles. ScalarField.zero and
+ScalarField.one are one shared object per chart. Three encodings share the
 kernel: sections of the bundle are coefficient tuples over the frame
 e_1..e_n; forms are polynomials in odd generators y1..yn (y^i dual to
 e_i); multivectors are polynomials in a second odd frame xi1..xin
@@ -132,13 +135,9 @@ class SkewAlgebroid:
         """rho(X) applied to a base function."""
         X = self.section(X)
         out = ScalarField.zero(self.chart)
-        for i, coeff in enumerate(X, start=1):
-            if coeff.is_zero:
-                continue
-            for a in range(1, self.chart.m + 1):
-                r = self.rho_at(i, a)
-                if not r.is_zero:
-                    out = out + coeff * r * f.partial(a)
+        for (i, a), r in self.rho.items():
+            if not X[i - 1].is_zero:
+                out = out + X[i - 1] * r * f.partial(a)
         return out
 
     def de_rham_field(self) -> SuperVectorField:
@@ -179,20 +178,11 @@ def bracket_sections(A: SkewAlgebroid, X, Y) -> tuple:
     """Anchored antisymmetric bracket on section encodings."""
     X = A.section(X)
     Y = A.section(Y)
-    out = []
-    for k in range(1, A.rank + 1):
-        v = ScalarField.zero(A.chart)
-        for i in range(1, A.rank + 1):
-            if X[i - 1].is_zero:
-                continue
-            for j in range(1, A.rank + 1):
-                if Y[j - 1].is_zero:
-                    continue
-                ck = A.c_at(i, j, k)
-                if not ck.is_zero:
-                    v = v + X[i - 1] * Y[j - 1] * ck
-        v = v + A.anchor_action(X, Y[k - 1]) - A.anchor_action(Y, X[k - 1])
-        out.append(v)
+    out = [A.anchor_action(X, y) - A.anchor_action(Y, x) for x, y in zip(X, Y)]
+    for (i, j, k), f in A.c.items():
+        w = X[i - 1] * Y[j - 1] - X[j - 1] * Y[i - 1]
+        if not w.is_zero:
+            out[k - 1] = out[k - 1] + w * f
     return tuple(out)
 
 
@@ -219,6 +209,9 @@ def schouten(A: SkewAlgebroid, U: SuperPoly, V: SuperPoly) -> SuperPoly:
     """Multivector bracket, degree -1, via the derived bracket upstairs."""
     from . import courant
 
+    table = A.mv_table()
+    if U.table != table or V.table != table:
+        raise ValueError("multivectors must live on the multivector table")
     setup = A._memo.get("schouten")
     if setup is None:
         space = courant.split_space(A.chart, A.rank)
@@ -231,7 +224,7 @@ def schouten(A: SkewAlgebroid, U: SuperPoly, V: SuperPoly) -> SuperPoly:
     inner = courant.poisson_bracket(lifted_u, mu, space)
     outer = courant.poisson_bracket(inner, lifted_v, space)
     try:
-        return transport(outer, A.mv_table())
+        return transport(outer, table)
     except ValueError as exc:
         raise InternalConsistencyError(
             "multivector bracket left the multivector algebra"
@@ -322,10 +315,7 @@ def conjugate_frame(A: SkewAlgebroid, G: list) -> SkewAlgebroid:
                     v = v + bracket[l - 1] * inv[l - 1][k - 1]
                 c[(i, j, k)] = v
     rho = {}
-    for i in range(1, n + 1):
-        for a in range(1, A.chart.m + 1):
-            v = ScalarField.zero(A.chart)
-            for l in range(1, n + 1):
-                v = v + rows[i - 1][l - 1] * A.rho_at(l, a)
-            rho[(i, a)] = v
+    for (l, a), r in A.rho.items():
+        for i, row in enumerate(rows, start=1):
+            rho[(i, a)] = rho.get((i, a), ScalarField.zero(A.chart)) + row[l - 1] * r
     return SkewAlgebroid(A.chart, n, c, rho)

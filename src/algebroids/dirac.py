@@ -42,9 +42,7 @@ from .courant import (
     Hamiltonian,
     SymplecticSpace2,
     _monomial_type,
-    anchor_apply,
     bidegree_split,
-    derived_bracket,
     poisson_bracket,
     project_to_E,
 )
@@ -115,23 +113,18 @@ class Bivector:
         """Section components of P#(alpha): X_j = sum_i alpha_i P^{ij}."""
         n = self.space.split_rank
         alpha = _components(self.space.chart, n, alpha)
-        return tuple(
-            sum(
-                (alpha[i - 1] * self.at(i, j) for i in range(1, n + 1)),
-                ScalarField.zero(self.space.chart),
-            )
-            for j in range(1, n + 1)
-        )
+        out = [ScalarField.zero(self.space.chart)] * n
+        for (i, j), f in self.entries.items():
+            out[j - 1] = out[j - 1] + alpha[i - 1] * f
+            out[i - 1] = out[i - 1] - alpha[j - 1] * f
+        return tuple(out)
 
     def pairing(self, alpha, beta) -> ScalarField:
         """P(alpha, beta) = sum alpha_i P^{ij} beta_j."""
         n = self.space.split_rank
         beta = _components(self.space.chart, n, beta)
         image = self.sharp(alpha)
-        return sum(
-            (image[j - 1] * beta[j - 1] for j in range(1, n + 1)),
-            ScalarField.zero(self.space.chart),
-        )
+        return sum((x * b for x, b in zip(image, beta)), ScalarField.zero(self.space.chart))
 
     def __str__(self):
         if not self.entries:
@@ -224,17 +217,23 @@ class DiracFrame:
         return Bivector(self.space, entries)
 
 
+def _xi_rows(P: Bivector) -> list:
+    """The (xi_j, P^{ij}) pairs of each row i of P, from the stored entries."""
+    space = P.space
+    rows = [[] for _ in range(space.split_rank)]
+    for (i, j), f in P.entries.items():
+        rows[i - 1].append(((space.xi_name(j),), f))
+        rows[j - 1].append(((space.xi_name(i),), -f))
+    return rows
+
+
 def graph_frame(P: Bivector) -> DiracFrame:
     """The frame D_a = y^a + sum_j P^{aj} xi_j."""
     space = P.space
-    n = space.split_rank
     one = ScalarField.one(space.chart)
     sections = [
-        _monomial_sum(
-            space.table,
-            [((space.y_name(a),), one)] + [((space.xi_name(j),), P.at(a, j)) for j in range(1, n + 1)],
-        )
-        for a in range(1, n + 1)
+        _monomial_sum(space.table, [((space.y_name(a),), one), *row])
+        for a, row in enumerate(_xi_rows(P), start=1)
     ]
     return DiracFrame(space, sections)
 
@@ -270,12 +269,9 @@ def sharp_substitution(P: Bivector, F: SuperPoly) -> SuperPoly:
     space = P.space
     if F.table != space.table:
         raise ValueError("argument must live on the space table")
-    n = space.split_rank
     images = {
-        space.y_name(i): _monomial_sum(
-            space.table, [((space.xi_name(j),), P.at(i, j)) for j in range(1, n + 1)]
-        )
-        for i in range(1, n + 1)
+        space.y_name(i): _monomial_sum(space.table, row)
+        for i, row in enumerate(_xi_rows(P), start=1)
     }
     return F.subst_odd(images)
 
@@ -455,10 +451,12 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     # columns index frame members, rows index the 2n odd generators
     full = [[D.matrix[c][g] for c in range(n)] for g in range(2 * n)]
     pivots = [g for g, _ in row_reduce([list(row) for row in full], n)]
+    # {D_a, H} once per member: the derived bracket and the anchor both start from it
+    inner = [poisson_bracket(s, H.value, space) for s in D.sections]
     c = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            bracket = derived_bracket(D.sections[a - 1], D.sections[b - 1], H)
+            bracket = poisson_bracket(inner[a - 1], D.sections[b - 1], space)
             rhs = [
                 bracket.terms.get(((g,), zeros), zero) for g in range(2 * n)
             ]
@@ -479,9 +477,7 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     rho = {}
     for a in range(1, n + 1):
         for bb, name in enumerate(chart.names, start=1):
-            acted = anchor_apply(
-                D.sections[a - 1], SuperPoly.coordinate(space.table, name), H
-            )
+            acted = poisson_bracket(inner[a - 1], SuperPoly.coordinate(space.table, name), space)
             f = acted.terms.get(((), zeros), zero)
             if acted != SuperPoly.from_scalar(space.table, f):
                 raise InternalConsistencyError("frame anchor is not a base function")
@@ -531,6 +527,7 @@ def verify_morphism_cor53(P: Bivector, H: Hamiltonian):
     """
     tw = twisted_hamiltonian(P, H)
     A = project_to_E(H)
-    n = P.space.split_rank
-    matrix = {(i, j): P.at(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    matrix = {}
+    for (i, j), f in P.entries.items():
+        matrix[(i, j)], matrix[(j, i)] = f, -f
     return is_morphism(AlgebroidMorphism(tw.algebroid, A, matrix))

@@ -88,12 +88,17 @@ class Cocycle1:
         return str(self.value)
 
 
-def _structure_trace(A: SkewAlgebroid, i: int) -> ScalarField:
-    out = ScalarField.zero(A.chart)
-    for k in range(1, A.rank + 1):
-        out = out + A.c_at(i, k, k)
-    for a in range(1, A.chart.m + 1):
-        out = out + A.rho_at(i, a).partial(a)
+def _structure_traces(A: SkewAlgebroid) -> list:
+    """phi_i = sum_k c_{ik}^k + sum_a d(rho_i^a)/dx^a for every i, from the
+    stored entries: c_{ij}^j adds to phi_i and c_{ij}^i = -c_{ji}^i to phi_j."""
+    out = [ScalarField.zero(A.chart)] * A.rank
+    for (i, j, k), f in A.c.items():
+        if k == j:
+            out[i - 1] = out[i - 1] + f
+        elif k == i:
+            out[j - 1] = out[j - 1] - f
+    for (i, a), r in A.rho.items():
+        out[i - 1] = out[i - 1] + r.partial(a)
     return out
 
 
@@ -105,7 +110,7 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     else:
         g = _coerce_scalar(A.chart, gauge)
         div = gauge_divergence(A.de_rham_field(), g)
-    coeffs = [_structure_trace(A, i) for i in range(1, A.rank + 1)]
+    coeffs = _structure_traces(A)
     if gauge is not None:
         coeffs = [f + A.anchor_action(A.frame_section(i), g) / g for i, f in enumerate(coeffs, 1)]
     if div != _components_to_form(A, coeffs):
@@ -117,17 +122,15 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     """Frame-trace route: adjoint trace through the section bracket plus
     the anchor divergence, per frame direction."""
     g = None if gauge is None else _coerce_scalar(A.chart, gauge)
-    coeffs = []
+    coeffs = [ScalarField.zero(A.chart)] * A.rank
+    for (i, a), r in A.rho.items():
+        coeffs[i - 1] = coeffs[i - 1] + r.partial(a)
     for i in range(1, A.rank + 1):
         e_i = A.frame_section(i)
-        coeff = ScalarField.zero(A.chart)
         for k in range(1, A.rank + 1):
-            coeff = coeff + bracket_sections(A, e_i, A.frame_section(k))[k - 1]
-        for a in range(1, A.chart.m + 1):
-            coeff = coeff + A.rho_at(i, a).partial(a)
+            coeffs[i - 1] = coeffs[i - 1] + bracket_sections(A, e_i, A.frame_section(k))[k - 1]
         if g is not None:
-            coeff = coeff + A.anchor_action(e_i, g) / g
-        coeffs.append(coeff)
+            coeffs[i - 1] = coeffs[i - 1] + A.anchor_action(e_i, g) / g
     return Cocycle1(A, _components_to_form(A, coeffs))
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 from typing import Callable, Iterator
@@ -187,7 +188,7 @@ def _is_const(p: dict) -> bool:
 def _content(p: dict, v: int) -> dict:
     cont: dict = {}
     for q in _split_var(p, v).values():
-        cont = _prs(cont, q)
+        cont = _pgcd(cont, q)[0]
         if _is_const(cont):
             break
     return cont
@@ -209,27 +210,18 @@ def _prem(a: dict, b: dict, v: int) -> dict:
 
 
 def _prs(a: dict, b: dict) -> dict:
-    """The gcd of two polynomials, not both zero, as in _pgcd, by the
-    primitive PRS (Brown, 1971). Contents in v and pseudo-remainders divide
-    exactly over the integers, as the contents are primitive."""
-    if not a or not b:
-        return _zprim(a or b)[1]
-    for p in (a, b):
-        if _is_const(p):
-            return {next(iter(p)): 1}
-    if len(a) == 1 or len(b) == 1:
-        # a monomial divides a polynomial iff it divides every term
-        return {tuple(map(min, *a, *b)): 1}
-    if a == b:
-        return _zprim(a)[1]
+    """The gcd of two polynomials that _pgcd does not answer directly, as in
+    _pgcd, by the primitive PRS (Brown, 1971). Contents in v and
+    pseudo-remainders divide exactly over the integers, as the contents are
+    primitive."""
     v = max(i for i, e in enumerate(map(max, zip(*a, *b))) if e)
     da, db = _pdeg_in(a, v), _pdeg_in(b, v)
     if da == 0 or db == 0:
         ca = a if da == 0 else _content(a, v)
         cb = b if db == 0 else _content(b, v)
-        return _prs(ca, cb)
+        return _pgcd(ca, cb)[0]
     ca, cb = _content(a, v), _content(b, v)
-    c = _prs(ca, cb)
+    c = _pgcd(ca, cb)[0]
     big = _zdiv(a, ca)
     small = _zdiv(b, cb)
     if _pdeg_in(big, v) < _pdeg_in(small, v):
@@ -426,11 +418,15 @@ class ScalarField:
         return ScalarField(chart, {mono: 1})
 
     @staticmethod
+    @cache
     def zero(chart: BaseChart) -> "ScalarField":
+        """The zero of the chart, one shared object: values are immutable."""
         return ScalarField(chart, {})
 
     @staticmethod
+    @cache
     def one(chart: BaseChart) -> "ScalarField":
+        """The one of the chart, one shared object."""
         return ScalarField.const(chart, 1)
 
     # predicates and views
@@ -623,7 +619,7 @@ class ScalarField:
         k, a, b = self._k, self._n, self._d
         if _is_const(b):
             if not (t := d(a)):
-                return ScalarField._canonical(self.chart, 0, t, b)
+                return ScalarField.zero(self.chart)
             ct, t = _zprim(t)
             return ScalarField._canonical(self.chart, k * ct, t, b)
         # With g = gcd(b, b'), b = g*h and b' = g*e for coprime h, e, the

@@ -539,28 +539,22 @@ def commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
     """Graded commutator [X, Y] = XY - (-1)^{|X||Y|} YX."""
     if X.table != Y.table:
         raise ValueError("generator table mismatch")
-    table = X.table
     sign = -1 if X.parity and Y.parity else 1
     comps = {}
-    for name in (*table.chart.names, *table.odd, *table.even2):
+    for name in dict.fromkeys((*X.components, *Y.components)):
         a = X.apply(Y.component(name))
         b = Y.apply(X.component(name))
         comps[name] = a - b if sign > 0 else a + b
-    return SuperVectorField(table, comps)
+    return SuperVectorField(X.table, comps)
 
 
 def divergence(X: SuperVectorField) -> SuperPoly:
     """Berezinian coordinate divergence under the standard gauge."""
-    table = X.table
-    out = SuperPoly.zero(table)
-    for name in table.chart.names:
-        out = out + X.component(name).left_partial(name)
-    for name in table.even2:
-        out = out + X.component(name).left_partial(name)
-    odd_sign = 1 if X.parity else -1
-    for name in table.odd:
-        piece = X.component(name).left_partial(name)
-        out = out + piece if odd_sign > 0 else out - piece
+    out = SuperPoly.zero(X.table)
+    for name, comp in X.components.items():
+        piece = comp.left_partial(name)
+        odd = X.table.role(name)[0] == "odd"
+        out = out - piece if odd and not X.parity else out + piece
     return out
 
 

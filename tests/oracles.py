@@ -235,3 +235,56 @@ def substitution_oracle(F: SuperPoly, images: dict, table) -> SuperPoly:
         for key, v in product.items():
             total[key] = total[key] + v if key in total else v
     return SuperPoly(table, total)
+
+
+# Structure maps from their index formulas, summed over every index with the
+# dense accessors c_at, rho_at and Bivector.at, which read an absent entry
+# as zero. The library walks only the stored entries instead.
+
+
+def anchor_action_oracle(A: SkewAlgebroid, X, f: ScalarField) -> ScalarField:
+    """rho(X)(f) = sum_{i,a} X_i rho_i^a df/dx^a."""
+    out = ScalarField.zero(A.chart)
+    for i in range(1, A.rank + 1):
+        for a in range(1, A.chart.m + 1):
+            out = out + X[i - 1] * A.rho_at(i, a) * f.partial(a)
+    return out
+
+
+def bracket_sections_oracle(A: SkewAlgebroid, X, Y) -> tuple:
+    """[X, Y]^k = sum_{i,j} X_i Y_j c_{ij}^k + rho(X)(Y_k) - rho(Y)(X_k)."""
+    out = []
+    for k in range(1, A.rank + 1):
+        v = anchor_action_oracle(A, X, Y[k - 1]) - anchor_action_oracle(A, Y, X[k - 1])
+        for i in range(1, A.rank + 1):
+            for j in range(1, A.rank + 1):
+                v = v + X[i - 1] * Y[j - 1] * A.c_at(i, j, k)
+        out.append(v)
+    return tuple(out)
+
+
+def modular_component_oracle(A: SkewAlgebroid, i: int) -> ScalarField:
+    """phi_i = sum_k c_{ik}^k + sum_a d(rho_i^a)/dx^a."""
+    out = ScalarField.zero(A.chart)
+    for k in range(1, A.rank + 1):
+        out = out + A.c_at(i, k, k)
+    for a in range(1, A.chart.m + 1):
+        out = out + A.rho_at(i, a).partial(a)
+    return out
+
+
+def sharp_oracle(P, alpha) -> tuple:
+    """P#(alpha)_j = sum_i alpha_i P^{ij}."""
+    n = P.space.split_rank
+    zero = ScalarField.zero(P.space.chart)
+    return tuple(sum((alpha[i - 1] * P.at(i, j) for i in range(1, n + 1)), zero) for j in range(1, n + 1))
+
+
+def pairing_oracle(P, alpha, beta) -> ScalarField:
+    """P(alpha, beta) = sum_{i,j} alpha_i P^{ij} beta_j."""
+    n = P.space.split_rank
+    out = ScalarField.zero(P.space.chart)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            out = out + alpha[i - 1] * P.at(i, j) * beta[j - 1]
+    return out

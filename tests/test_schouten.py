@@ -133,8 +133,10 @@ def test_oracle_agreement():
 def test_table_mismatch_rejected():
     tm = tangent(CH2)
     other = tangent(CH4)
-    with pytest.raises(ValueError):
-        schouten(tm, mv(other, "xi1"), mv(other, "xi2"))
+    y1 = parse_super("y1", tm.table())
+    for U, V in ((mv(other, "xi1"), mv(other, "xi2")), (y1, mv(tm, "xi1")), (y1, y1)):
+        with pytest.raises(ValueError):
+            schouten(tm, U, V)
 
 
 def test_leaving_the_multivector_algebra_is_inconsistent(monkeypatch):
