@@ -9,7 +9,8 @@ kernel: sections of the bundle are coefficient tuples over the frame
 e_1..e_n; forms are polynomials in odd generators y1..yn (y^i dual to
 e_i); multivectors are polynomials in a second odd frame xi1..xin
 (xi_i standing for e_i). Chart coordinate names must stay clear of the
-generated names y*, xi*, p*.
+generated names y*, xi*, p*. A change of frame is reduced once: one
+elimination gives the structure functions of every pair.
 
 The structure vector field is
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalConsistencyError
-from .linalg import invert_matrix
+from .linalg import row_reduce
 from .scalar import BaseChart, ScalarField
 from .superalg import (
     GeneratorTable,
@@ -297,23 +298,19 @@ def _intertwining(phi: AlgebroidMorphism):
 def conjugate_frame(A: SkewAlgebroid, G: list) -> SkewAlgebroid:
     """The same algebroid written in the frame e'_i = sum_j G_i^j e_j.
 
-    G must be invertible over the scalar field; the new structure data
-    is recovered from section brackets of the new frame.
+    G must be invertible over the scalar field. The new structure
+    functions t solve t G = [e'_i, e'_j] for every pair at once: one
+    reduction of [G^T | one column per bracket].
     """
     n = A.rank
     rows = [[_coerce_scalar(A.chart, G[i][j]) for j in range(n)] for i in range(n)]
-    inv = invert_matrix(rows, ScalarField.zero(A.chart), ScalarField.one(A.chart))
-    if inv is None:
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    brackets = [bracket_sections(A, rows[i - 1], rows[j - 1]) for i, j in pairs]
+    system = [[row[l] for row in rows] + [b[l] for b in brackets] for l in range(n)]
+    pivots = row_reduce(system, n)
+    if len(pivots) < n:
         raise ValueError("frame matrix is singular")
-    c = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bracket = bracket_sections(A, rows[i - 1], rows[j - 1])
-            for k in range(1, n + 1):
-                v = ScalarField.zero(A.chart)
-                for l in range(1, n + 1):
-                    v = v + bracket[l - 1] * inv[l - 1][k - 1]
-                c[(i, j, k)] = v
+    c = {(i, j, k + 1): system[r][n + p] for p, (i, j) in enumerate(pairs) for r, k in pivots}
     rho = {}
     for (l, a), r in A.rho.items():
         for i, row in enumerate(rows, start=1):

@@ -53,11 +53,13 @@ class CliError(Exception):
 # nonconstant monomial of degree <= bound, C(m + bound, m) - 1 of them on an
 # m-coordinate chart. 230 is the plane's count at bound 20, under a second.
 _MAX_UNKNOWNS = 230
-# Largest algebroid rank. A file's Hamiltonians live on a super space with
-# 2*rank fibre generators, whose block pairing has 4*rank**2 entries: with one
-# c entry and a Hamiltonian, check-jacobi, project and projectable each take
-# under 0.01 s at rank 250 and at rank 300, and 0.1 s at rank 1000.
-_MAX_RANK = 250
+# Largest super space: 2*rank fibre generators plus m coordinates and their m
+# momenta, 2*rank + 2*m <= 200. A rank-1 algebroid leaves room for 99
+# coordinates, a plane for rank 98. With one c entry, two anchor entries and a
+# one-entry bivector, every verb answers in under a second at the cap (2 shared
+# cores): the slowest, relative-modular, takes 0.5 s at rank 98 on a plane or
+# rank 2 on 98 coordinates, 0.8 s at rank 50 on 50, and 1.5 s at 244 generators.
+_MAX_GENERATORS = 200
 
 
 def _max_bound(m: int) -> int:
@@ -183,6 +185,9 @@ class _Section:
             if self.coords is not None:
                 raise CliError(f"{where}: duplicate coords entry")
             names = rhs.split()
+            cap = _MAX_GENERATORS // 2 - 1
+            if len(names) > cap:
+                raise CliError(f"{where}: at most {cap} coordinates")
             try:
                 self.coords = BaseChart(tuple(names))
             except ValueError as e:
@@ -229,8 +234,9 @@ class _Section:
                 raise CliError(f"{where}: rank must be an integer") from None
             if self.rank < 1:
                 raise CliError(f"{where}: rank must be at least 1")
-            if self.rank > _MAX_RANK:
-                raise CliError(f"{where}: rank must be at most {_MAX_RANK}")
+            cap = _MAX_GENERATORS // 2 - self.problem.chart.m
+            if self.rank > cap:
+                raise CliError(f"{where}: rank must be at most {cap} on this chart")
             return
         if self.rank is None:
             raise CliError(f"{where}: 'rank = n' must come before structure entries")
@@ -341,9 +347,9 @@ def parse_problem(path: str, text: str) -> Problem:
         if section is None:
             raise CliError(f"{where}: entry outside of any section")
         key, eq, rhs = line.partition("=")
-        if not eq or not rhs.strip():
-            raise CliError(f"{where}: expected 'key = value'")
         fields = key.split()
+        if not (eq and fields and rhs.strip()):
+            raise CliError(f"{where}: expected 'key = value'")
         section.add(fields[0], fields[1:], rhs.strip(), where)
     if section is not None:
         section.finish()

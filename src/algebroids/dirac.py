@@ -47,7 +47,7 @@ from .courant import (
     project_to_E,
 )
 from .errors import DiracClosureError, InternalConsistencyError
-from .linalg import matrix_rank, row_reduce, solve_linear
+from .linalg import row_reduce, solve_linear
 from .modular import Cocycle1, modular_class_of_morphism, modular_cocycle
 from .scalar import ScalarField
 from .superalg import SuperPoly, _monomial_sum, transport
@@ -141,10 +141,12 @@ class DiracFrame:
     Validation is generic over the rational-function field: the n x 2n
     coefficient matrix must have full rank as a matrix of rational
     functions, so independence may fail on the (excluded) vanishing locus
-    of a minor.
+    of a minor. The frame is reduced once: that elimination finds the rank
+    and the n generators whose rows carry it, which induced_algebroid
+    reuses.
     """
 
-    __slots__ = ("space", "sections", "matrix")
+    __slots__ = ("space", "sections", "matrix", "_pivots")
 
     def __init__(self, space: SymplecticSpace2, sections):
         if not space.is_split:
@@ -170,11 +172,14 @@ class DiracFrame:
             for b in range(a, n):
                 if not poisson_bracket(sections[a], sections[b], space).is_zero:
                     raise ValueError(f"frame is not isotropic at pair ({a + 1},{b + 1})")
-        if matrix_rank(matrix) != n:
+        # rows index the 2n odd generators, columns the frame members
+        pivots = row_reduce([[row[g] for row in matrix] for g in range(2 * n)], n)
+        if len(pivots) != n:
             raise ValueError("frame drops rank over the function field")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "matrix", tuple(matrix))
+        object.__setattr__(self, "_pivots", tuple(g for g, _ in pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiracFrame is immutable")
@@ -437,9 +442,11 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
 def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     """Structure carried by the frame when it closes under the derived bracket.
 
-    Span membership is decided over the rational-function field; a bracket
-    leaving the span raises DiracClosureError carrying the offending pair
-    and the full bracket as residual evidence.
+    Span membership is decided over the rational-function field by one
+    reduction that serves every pair: the frame's pivot rows, laid out as
+    [members | one column per bracket]. A bracket leaving the span raises
+    DiracClosureError carrying the offending pair and the full bracket as
+    residual evidence.
     """
     space = D.space
     if H.space != space:
@@ -448,32 +455,27 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     chart = space.chart
     zero = ScalarField.zero(chart)
     zeros = (0,) * len(space.table.even2)
-    # columns index frame members, rows index the 2n odd generators
-    full = [[D.matrix[c][g] for c in range(n)] for g in range(2 * n)]
-    pivots = [g for g, _ in row_reduce([list(row) for row in full], n)]
     # {D_a, H} once per member: the derived bracket and the anchor both start from it
     inner = [poisson_bracket(s, H.value, space) for s in D.sections]
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    brackets = [poisson_bracket(inner[a - 1], D.sections[b - 1], space) for a, b in pairs]
+    system = [
+        [row[g] for row in D.matrix] + [br.terms.get(((g,), zeros), zero) for br in brackets]
+        for g in D._pivots
+    ]
+    pivots = row_reduce(system, n)
     c = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            bracket = poisson_bracket(inner[a - 1], D.sections[b - 1], space)
-            rhs = [
-                bracket.terms.get(((g,), zeros), zero) for g in range(2 * n)
-            ]
-            coeffs = solve_linear(
-                [full[g] for g in pivots], [rhs[g] for g in pivots], zero
+    for p, ((a, b), bracket) in enumerate(zip(pairs, brackets)):
+        residual = bracket
+        for r, k in pivots:
+            t = system[r][n + p]
+            if not t.is_zero:
+                residual = residual - t * D.sections[k]
+                c[(a, b, k + 1)] = t
+        if not residual.is_zero:
+            raise DiracClosureError(
+                f"bracket of frame members ({a},{b}) leaves the frame span", (a, b), residual
             )
-            residual = bracket
-            for t, section in zip(coeffs, D.sections):
-                if not t.is_zero:
-                    residual = residual - t * section
-            if not residual.is_zero:
-                raise DiracClosureError(
-                    f"bracket of frame members ({a},{b}) leaves the frame span",
-                    (a, b),
-                    residual,
-                )
-            c.update(((a, b, k), t) for k, t in enumerate(coeffs, start=1))
     rho = {}
     for a in range(1, n + 1):
         for bb, name in enumerate(chart.names, start=1):
@@ -482,7 +484,7 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
             if acted != SuperPoly.from_scalar(space.table, f):
                 raise InternalConsistencyError("frame anchor is not a base function")
             rho[(a, bb)] = f
-    # SkewAlgebroid drops the zero entries of c and rho
+    # SkewAlgebroid drops the zero entries of rho
     return SkewAlgebroid(chart, n, c, rho)
 
 

@@ -14,7 +14,8 @@ def row_reduce(rows: list, width: int) -> list:
     Rows are never swapped: each column pivots on the first row, in input
     order, that is not yet a pivot row and has a nonzero entry there. The
     pivot row is scaled to a leading 1 and the column is cleared in every
-    other row. Returns the (row, column) pivots in column order.
+    other row; an entry facing a zero in the pivot row is left alone.
+    Returns the (row, column) pivots in column order.
     """
     pivots = []
     used = set()
@@ -25,11 +26,11 @@ def row_reduce(rows: list, width: int) -> list:
         pivots.append((pivot, col))
         used.add(pivot)
         head = rows[pivot][col]
-        rows[pivot] = [v / head for v in rows[pivot]]
+        rows[pivot] = [v / head if v else v for v in rows[pivot]]
         for r in range(len(rows)):
             if r != pivot and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot])]
+                rows[r] = [v - factor * w if w else v for v, w in zip(rows[r], rows[pivot])]
         if len(pivots) == len(rows):
             break
     return pivots

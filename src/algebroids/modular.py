@@ -15,7 +15,9 @@ cocycle, but closedness can fail, and the library deliberately keeps
 that failure observable.
 
 Every public entry point recomputes its answer along two independent
-routes and raises InternalConsistencyError when they disagree.
+routes and raises InternalConsistencyError when they disagree. The
+modular cocycle is memoised on its algebroid per gauge, so both of its
+routes are compared once per (algebroid, gauge).
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ def _structure_traces(A: SkewAlgebroid) -> list:
 
 def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     """Divergence of the structure differential, cross-checked against
-    the structure-constant trace formula."""
+    the structure-constant trace formula once per (A, gauge)."""
+    key = ("modular", gauge)
+    if key in A._memo:
+        return A._memo[key]
     if gauge is None:
         div = divergence(A.de_rham_field())
     else:
@@ -115,7 +120,8 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
         coeffs = [f + A.anchor_action(A.frame_section(i), g) / g for i, f in enumerate(coeffs, 1)]
     if div != _components_to_form(A, coeffs):
         raise InternalConsistencyError("modular cocycle paths disagree")
-    return Cocycle1(A, div)
+    A._memo[key] = Cocycle1(A, div)
+    return A._memo[key]
 
 
 def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:

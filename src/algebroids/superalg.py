@@ -28,7 +28,8 @@ a new SuperPoly per product and per partial sum. It keeps the order of
 every scalar addition that adding the products as SuperPolys would make.
 ``_monomial_sum`` builds a sum of coefficients times named generator
 monomials directly, with no product at all: frame forms, the de Rham
-field, Hamiltonians and substitution images are made with it.
+field, Hamiltonians, substitution images and ``transport`` onto another
+table are made with it.
 
 ``SuperPoly.subst_odd`` is the one odd-substitution kernel: an algebra
 morphism that sends odd generators to given values, possibly on another
@@ -431,33 +432,25 @@ def transport(f: SuperPoly, table: GeneratorTable) -> SuperPoly:
     """Move a value onto another table over the same chart, by name.
 
     Every generator appearing in f must be a generator of the same kind in
-    the target table, or ValueError names it; index reordering signs are
-    accounted for.
+    the target table, or ValueError names the first offender in f's table
+    order; index reordering signs are accounted for.
     """
     if f.table.chart != table.chart:
         raise ValueError("charts differ")
-
-    def index(name: str, kind: str) -> int:
-        role = table._roles.get(name)
-        if role is None:
-            raise ValueError(f"generator {name!r} is not in the target table")
-        if role[0] != kind:
-            raise ValueError(f"{kind} generator {name!r} mapped onto a non-{kind} name")
-        return role[1]
-
-    terms: dict = {}
-    for (odd, even), c in f.terms.items():
-        idx = [index(f.table.odd[i], "odd") for i in odd]
-        inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1 :])
-        ee = [0] * len(table.even2)
-        for name, e in zip(f.table.even2, even):
-            if e:
-                ee[index(name, "even2")] += e
-        key = (tuple(sorted(idx)), tuple(ee))
-        cc = -c if inversions & 1 else c
-        s = terms.get(key)
-        terms[key] = cc if s is None else s + cc
-    return SuperPoly(table, terms)
+    src = f.table
+    present = f.generator_names()
+    for kind, names in (("odd", src.odd), ("even2", src.even2)):
+        for name in (n for n in names if n in present):
+            role = table._roles.get(name)
+            if role is None:
+                raise ValueError(f"generator {name!r} is not in the target table")
+            if role[0] != kind:
+                raise ValueError(f"{kind} generator {name!r} mapped onto a non-{kind} name")
+    entries = (
+        ([src.odd[i] for i in odd] + [n for n, e in zip(src.even2, even) for _ in range(e)], c)
+        for (odd, even), c in f.terms.items()
+    )
+    return _monomial_sum(table, entries)
 
 
 class SuperVectorField:
@@ -543,7 +536,8 @@ def commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
     comps = {}
     for name in dict.fromkeys((*X.components, *Y.components)):
         a = X.apply(Y.component(name))
-        b = Y.apply(X.component(name))
+        # the two terms of [X, X] are equal
+        b = a if X is Y else Y.apply(X.component(name))
         comps[name] = a - b if sign > 0 else a + b
     return SuperVectorField(X.table, comps)
 

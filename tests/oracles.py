@@ -22,6 +22,7 @@ with v the degree of the (homogeneous) right argument.
 from __future__ import annotations
 
 from algebroids.algebroid import SkewAlgebroid
+from algebroids.linalg import matrix_rank, solve_linear
 from algebroids.scalar import ScalarField
 from algebroids.superalg import SuperPoly
 
@@ -288,3 +289,68 @@ def pairing_oracle(P, alpha, beta) -> ScalarField:
         for j in range(1, n + 1):
             out = out + alpha[i - 1] * P.at(i, j) * beta[j - 1]
     return out
+
+
+# Frame changes and induced structures with one linear solve per bracket,
+# the way they were computed before each frame was reduced once.
+
+
+def conjugate_frame_oracle(A: SkewAlgebroid, G) -> SkewAlgebroid | None:
+    """A in the frame e'_i = sum_j G_i^j e_j, or None for a singular G:
+    c'_{ij} solves t G = [e'_i, e'_j] pair by pair, and rho'_i = sum_l G_i^l rho_l."""
+    n = A.rank
+    if matrix_rank(G) < n:
+        return None
+    zero = ScalarField.zero(A.chart)
+    transposed = [[G[k][l] for k in range(n)] for l in range(n)]
+    c = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            t = solve_linear(transposed, list(bracket_sections_oracle(A, G[i - 1], G[j - 1])), zero)
+            c.update(((i, j, k), t[k - 1]) for k in range(1, n + 1))
+    rho = {
+        (i, a): sum((G[i - 1][l - 1] * A.rho_at(l, a) for l in range(1, n + 1)), zero)
+        for i in range(1, n + 1)
+        for a in range(1, A.chart.m + 1)
+    }
+    return SkewAlgebroid(A.chart, n, c, rho)
+
+
+def induced_algebroid_oracle(D, H):
+    """The frame's induced algebroid, or the (pair, residual) of the first
+    bracket {{D_a, H}, D_b} that leaves the frame's span.
+
+    Brackets come from poisson_bracket_oracle. Each is solved on its own
+    over the first n generator rows, in generator order, that carry the
+    frame's rank; the residual is the bracket minus that combination."""
+    space = D.space
+    n = space.split_rank
+    table = space.table
+    zero = ScalarField.zero(space.chart)
+    zeros = (0,) * len(table.even2)
+    columns = [[D.matrix[a][g] for a in range(n)] for g in range(2 * n)]
+    rows = []
+    for g in range(2 * n):
+        if matrix_rank([columns[h] for h in rows + [g]]) > len(rows):
+            rows.append(g)
+    inner = [poisson_bracket_oracle(s, H.value, space) for s in D.sections]
+    c = {}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            bracket = poisson_bracket_oracle(inner[a - 1], D.sections[b - 1], space)
+            rhs = [bracket.terms.get(((g,), zeros), zero) for g in rows]
+            t = solve_linear([columns[g] for g in rows], rhs, zero)
+            residual = bracket
+            for tk, section in zip(t, D.sections):
+                residual = residual - SuperPoly.from_scalar(table, tk) * section
+            if not residual.is_zero:
+                return (a, b), residual
+            c.update(((a, b, k), t[k - 1]) for k in range(1, n + 1))
+    rho = {}
+    for a in range(1, n + 1):
+        for x, name in enumerate(space.chart.names, start=1):
+            coordinate = SuperPoly.coordinate(table, name)
+            rho[(a, x)] = poisson_bracket_oracle(inner[a - 1], coordinate, space).terms.get(
+                ((), zeros), zero
+            )
+    return SkewAlgebroid(space.chart, n, c, rho)

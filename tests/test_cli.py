@@ -179,6 +179,7 @@ BAD_FILES = [
         "[chart]\ncoords = x1\n\n[algebroid a]\nrank = 2\n\n[bivector P on a]\nP 1 1 = 1\n",
         "line 8: bivector index (1,1)",
     ),
+    ("[chart]\ncoords = x1\n\n[algebroid a]\n = 3\n", "line 5: expected 'key = value'"),
 ]
 
 
@@ -280,15 +281,32 @@ def test_budgets_at_the_cap_answer(tmp_path, capsys):
 
 
 def test_rank_budget(tmp_path, capsys):
-    """Rank is capped at 250, where the slowest verb on one c entry and a
-    Hamiltonian takes about a second; one more is an input error."""
+    """The super space has at most 200 generators, 2*rank + 2*coordinates, so
+    rank is capped at 99 on a line, where the slowest verb on one c entry and
+    a Hamiltonian takes under a second; one more is an input error."""
     path = tmp_path / "rank.alg"
     text = "[chart]\ncoords = x1\n\n[algebroid a]\nrank = {}\nc 1 2 1 = x1\n"
-    path.write_text(text.format(250))
+    path.write_text(text.format(99))
     assert run(("check-jacobi", str(path), "a"), capsys) == (0, "JACOBI: OK\n", "")
-    path.write_text(text.format(251))
-    err = f"ERROR: {path}:5: rank must be at most 250\n"
+    path.write_text(text.format(100))
+    err = f"ERROR: {path}:5: rank must be at most 99 on this chart\n"
     assert run(("check-jacobi", str(path), "a"), capsys) == (2, "", err)
+
+
+def test_chart_budget(tmp_path, capsys):
+    """The same generator budget caps the chart at 99 coordinates, where a
+    rank-1 algebroid still fits, and the rank on a wider chart shrinks."""
+    path = tmp_path / "chart.alg"
+    text = "[chart]\ncoords = {}\n\n[algebroid a]\nrank = {}\nrho 1 1 = x1\n"
+    for m, rank, err in (
+        (99, 1, None),
+        (100, 1, "2: at most 99 coordinates"),
+        (40, 60, None),
+        (40, 61, "5: rank must be at most 60 on this chart"),
+    ):
+        path.write_text(text.format(" ".join(f"x{i}" for i in range(1, m + 1)), rank))
+        expected = (0, "JACOBI: OK\n", "") if err is None else (2, "", f"ERROR: {path}:{err}\n")
+        assert run(("check-jacobi", str(path), "a"), capsys) == expected
 
 
 def test_term_budget_refuses_dense_powers(tmp_path, capsys):
