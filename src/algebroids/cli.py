@@ -57,8 +57,8 @@ _MAX_UNKNOWNS = 230
 # momenta, 2*rank + 2*m <= 200. A rank-1 algebroid leaves room for 99
 # coordinates, a plane for rank 98. With one c entry, two anchor entries and a
 # one-entry bivector, every verb answers in under a second at the cap (2 shared
-# cores): the slowest, relative-modular, takes 0.5 s at rank 98 on a plane or
-# rank 2 on 98 coordinates, 0.8 s at rank 50 on 50, and 1.5 s at 244 generators.
+# cores): the slowest, relative-modular, takes 0.3 s at rank 98 on a plane or
+# rank 2 on 98 coordinates, 0.2 s at rank 50 on 50, and 0.55 s at 244 generators.
 _MAX_GENERATORS = 200
 
 

@@ -332,7 +332,9 @@ def _projection(H: Hamiltonian) -> SkewAlgebroid | None:
         brackets[name] = comp
     by_field = len(brackets) == space.chart.m + n
     if by_type != by_field:
-        raise InternalConsistencyError("projectability criteria disagree")
+        raise InternalConsistencyError(
+            "projectability criteria disagree", "projectability", (by_type, by_field)
+        )
     algebroid = None
     if by_type:
         # only y^1..y^n occur, at odd indices 0..n-1

@@ -23,7 +23,7 @@ the twisted generator are memoised on the Hamiltonian.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .algebroid import (
     AlgebroidMorphism,
@@ -141,9 +141,11 @@ class DiracFrame:
     Validation is generic over the rational-function field: the n x 2n
     coefficient matrix must have full rank as a matrix of rational
     functions, so independence may fail on the (excluded) vanishing locus
-    of a minor. The frame is reduced once: that elimination finds the rank
-    and the n generators whose rows carry it, which induced_algebroid
-    reuses.
+    of a minor. On degree-1 elements the Poisson bracket is the pairing
+    sum D_a^i g^{ij} D_b^j, so isotropy sums it over the stored terms and
+    the nonzero g^{ij}, with no bracket calculus. The frame is reduced
+    once: that elimination finds the rank and the n generators whose rows
+    carry it, which induced_algebroid reuses.
     """
 
     __slots__ = ("space", "sections", "matrix", "_pivots")
@@ -155,30 +157,29 @@ class DiracFrame:
         sections = tuple(sections)
         if len(sections) != n:
             raise ValueError(f"expected {n} frame members, got {len(sections)}")
-        zeros = (0,) * len(space.table.even2)
-        matrix = []
+        zero = ScalarField.zero(space.chart)
+        # each member as a dict from odd generator index to its coefficient
+        members = []
         for s in sections:
             if not isinstance(s, SuperPoly) or s.table != space.table:
                 raise ValueError("frame members must live on the space table")
             if s.is_zero or s != s.degree_part(1):
                 raise ValueError("frame members must be homogeneous of degree 1")
-            matrix.append(
-                tuple(
-                    s.terms.get(((g,), zeros), ScalarField.zero(space.chart))
-                    for g in range(2 * n)
-                )
-            )
-        for a in range(n):
-            for b in range(a, n):
-                if not poisson_bracket(sections[a], sections[b], space).is_zero:
-                    raise ValueError(f"frame is not isotropic at pair ({a + 1},{b + 1})")
+            members.append({odd[0]: c for (odd, _), c in s.terms.items()})
+        # the split pairing's nonzero entries are all 1
+        for a, b in combinations_with_replacement(range(n), 2):
+            mb = members[b]
+            products = [f * mb[j] for i, f in members[a].items() for j, _ in space._inv_rows[i] if j in mb]
+            if products and not sum(products[1:], products[0]).is_zero:
+                raise ValueError(f"frame is not isotropic at pair ({a + 1},{b + 1})")
+        matrix = tuple(tuple(m.get(g, zero) for g in range(2 * n)) for m in members)
         # rows index the 2n odd generators, columns the frame members
         pivots = row_reduce([[row[g] for row in matrix] for g in range(2 * n)], n)
         if len(pivots) != n:
             raise ValueError("frame drops rank over the function field")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "matrix", tuple(matrix))
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_pivots", tuple(g for g, _ in pivots))
 
     def __setattr__(self, name, value):
@@ -317,7 +318,9 @@ def _twist(P: Bivector, H: Hamiltonian):
     phi = parts.phi.value
     path2 = transport(square, space.table) * Fraction(-1, 2) - sharp_substitution(P, phi)
     if obstruction != path2:
-        raise InternalConsistencyError("twist obstruction paths disagree")
+        raise InternalConsistencyError(
+            "twist obstruction paths disagree", "twist_obstruction", (obstruction, path2)
+        )
     twisted = None
     if obstruction.is_zero:
         n = space.split_rank
@@ -403,7 +406,9 @@ def twisted_bracket(P: Bivector, H: Hamiltonian, alpha, beta) -> SuperPoly:
         - interior_product(A, xb, interior_product(A, xa, phi_form))
     )
     if cartan != derived_form:
-        raise InternalConsistencyError("twisted bracket paths disagree")
+        raise InternalConsistencyError(
+            "twisted bracket paths disagree", "twisted_bracket", (derived_form, cartan)
+        )
     return derived_form
 
 
@@ -516,7 +521,9 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
         base = [base_mod.component(i) for i in range(1, n + 1)]
         cross = transport(dual_mod.value, ind.table()) + _components_to_form(ind, P.sharp(base))
         if rel.value != cross:
-            raise InternalConsistencyError("relative class paths disagree")
+            raise InternalConsistencyError(
+                "relative class paths disagree", "relative_modular_class", (rel.value, cross)
+            )
     return rel
 
 

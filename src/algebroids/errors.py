@@ -2,7 +2,13 @@
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two independently computed paths disagreed: a kernel sign bug."""
+    """Two independently computed paths disagreed: a kernel sign bug. Where
+    two routes are compared, ``check`` names the cross-check and ``values``
+    holds both results, which also end the message; elsewhere both are None."""
+
+    def __init__(self, message: str, check: str | None = None, values: tuple | None = None):
+        super().__init__(message if values is None else f"{message}: {values[0]} against {values[1]}")
+        self.check, self.values = check, values
 
 
 class DiracClosureError(ValueError):

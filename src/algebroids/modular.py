@@ -118,8 +118,9 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     coeffs = _structure_traces(A)
     if gauge is not None:
         coeffs = [f + A.anchor_action(A.frame_section(i), g) / g for i, f in enumerate(coeffs, 1)]
-    if div != _components_to_form(A, coeffs):
-        raise InternalConsistencyError("modular cocycle paths disagree")
+    traces = _components_to_form(A, coeffs)
+    if div != traces:
+        raise InternalConsistencyError("modular cocycle paths disagree", "modular_cocycle", (div, traces))
     A._memo[key] = Cocycle1(A, div)
     return A._memo[key]
 

@@ -50,6 +50,11 @@ already known:
   left is canonical as it stands.
 - Powers of a coprime pair stay coprime, so ``**`` raises numerator and
   denominator separately.
+
+The expression parser needs none of this: input has no quotients, so it
+folds plain polynomial dicts with rational coefficients, in one token pass,
+and the caller canonicalises each parsed value once (``parse_scalar`` with
+one ScalarField, ``superalg.parse_super`` with one per generator monomial).
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 from typing import Callable, Iterator
@@ -671,7 +676,9 @@ class ScalarField:
 
 # expression parser, shared by the scalar and super layers
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*^()/]|\S")
+# One pass: a newline, or a token (identifier, integer, operator or any other
+# non-space character); every other space separates tokens.
+_TOKEN = re.compile(r"\n|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*^()/]|\S")
 # Each level of parentheses costs four Python frames in the parser, so this
 # keeps well inside the default recursion limit.
 _MAX_NESTING = 100
@@ -684,24 +691,16 @@ _MAX_EXPONENT = 100
 _MAX_TERMS = 30
 
 
-def _term_count(value) -> int:
-    """Terms of a parsed value, summed over the coefficients of a super one."""
-    if isinstance(value, ScalarField):
-        return len(value._n)
-    return sum(len(c._n) for c in value.terms.values())
-
-
 def _tokenize(text: str):
-    toks = []
-    line = 1
-    start = 0
-    for match in re.finditer(r"\S+|\n", text):
-        if match.group() == "\n":
+    """(token, line, column) triples; lines and columns count from 1."""
+    toks, line, start = [], 1, 0
+    for t in _TOKEN.finditer(text):
+        tok = t.group()
+        if tok == "\n":
             line += 1
-            start = match.end()
-            continue
-        for t in _TOKEN.finditer(match.group()):
-            toks.append((t.group(), line, match.start() + t.start() - start + 1))
+            start = t.end()
+        else:
+            toks.append((tok, line, t.start() - start + 1))
     return toks
 
 
@@ -726,27 +725,29 @@ class _Parser:
     exponents are at most _MAX_EXPONENT, and every value has at most
     _MAX_TERMS terms; a power is refused before it is expanded when it could
     have more.
+
+    Values are polynomials: dicts from a monomial key to a nonzero int or
+    Fraction, {} for zero. Sums and differences go through _plin, products
+    through the caller's ``mul``, and a power is that many products starting
+    from the one, so ``^0`` gives the one. A value's term count is its
+    length, the terms of its canonical form.
     """
 
-    def __init__(self, text: str, resolve: Callable, const: Callable):
+    def __init__(self, text: str, resolve: Callable, one: tuple, mul: Callable):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.resolve = resolve
-        self.const = const
+        self.one = one
+        self.mul = mul
         if not self.toks:
             raise ParseError("empty expression", 1, 1)
 
     def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][0]
-        return None
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def loc(self):
-        if self.pos < len(self.toks):
-            _, line, col = self.toks[self.pos]
-        else:
-            _, line, col = self.toks[-1]
+        _, line, col = self.toks[min(self.pos, len(self.toks) - 1)]
         return line, col
 
     def take(self):
@@ -757,12 +758,12 @@ class _Parser:
     def fail(self, message: str):
         raise ParseError(message, *self.loc())
 
-    def bounded(self, value, line: int, col: int):
-        if _term_count(value) > _MAX_TERMS:
+    def bounded(self, value: dict, line: int, col: int) -> dict:
+        if len(value) > _MAX_TERMS:
             raise ParseError(f"expression has more than {_MAX_TERMS} terms", line, col)
         return value
 
-    def parse(self):
+    def parse(self) -> dict:
         value = self.expr()
         if self.peek() is not None:
             if self.peek() == "/":
@@ -770,34 +771,27 @@ class _Parser:
             self.fail(f"unexpected {self.peek()!r}")
         return value
 
-    def expr(self):
-        negate = False
-        if self.peek() == "-":
-            self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op, line, col = self.take()
-            negate = False
+    def expr(self) -> dict:
+        # the first term is added to zero; a lone term is within the budget
+        value, op, line, col = {}, "+", 1, 1
+        while True:
+            sign = 1 if op == "+" else -1
             if self.peek() == "-":
                 self.take()
-                negate = True
-            rhs = self.term()
-            if negate:
-                rhs = -rhs
-            value = self.bounded(value + rhs if op == "+" else value - rhs, line, col)
-        return value
+                sign = -sign
+            value = self.bounded(_plin(1, value, sign, self.term()), line, col)
+            if self.peek() not in ("+", "-"):
+                return value
+            op, line, col = self.take()
 
-    def term(self):
+    def term(self) -> dict:
         value = self.factor()
         while self.peek() == "*":
             _, line, col = self.take()
-            value = self.bounded(value * self.factor(), line, col)
+            value = self.bounded(self.mul(value, self.factor()), line, col)
         return value
 
-    def factor(self):
+    def factor(self) -> dict:
         value = self.atom()
         if self.peek() == "^":
             self.take()
@@ -808,13 +802,13 @@ class _Parser:
             if exponent > _MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {_MAX_EXPONENT}", line, col)
             # n terms give at most C(n + k - 1, k) terms in the k-th power
-            n = _term_count(value)
+            n = len(value)
             if n and comb(n + exponent - 1, exponent) > _MAX_TERMS:
                 raise ParseError(f"power has more than {_MAX_TERMS} terms", line, col)
-            value = value ** exponent
+            value = reduce(self.mul, [value] * exponent, {self.one: 1})
         return value
 
-    def atom(self):
+    def atom(self) -> dict:
         if self.peek() is None:
             self.fail("unexpected end of expression")
         tok, line, col = self.take()
@@ -829,7 +823,7 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            numerator = _read_int(tok, line, col)
+            q = _read_int(tok, line, col)
             if self.peek() == "/":
                 self.take()
                 if self.peek() is None or not self.peek().isdigit():
@@ -838,25 +832,29 @@ class _Parser:
                 denominator = _read_int(dtok, dline, dcol)
                 if denominator == 0:
                     raise ParseError("zero denominator", dline, dcol)
-                return self.const(Fraction(numerator, denominator))
-            return self.const(Fraction(numerator))
+                q = _rat(q, denominator)
+            return {self.one: q} if q else {}
         if _IDENT.match(tok):
             return self.resolve(tok, line, col)
         raise ParseError(f"unexpected {tok!r}", line, col)
 
 
-def parse_expression(text: str, resolve: Callable, const: Callable):
-    """Parse under the shared grammar with caller-supplied atom semantics."""
-    return _Parser(text, resolve, const).parse()
+def parse_expression(text: str, resolve: Callable, one: tuple, mul: Callable = _pmul) -> dict:
+    """Parse under the shared grammar to a polynomial dict. ``resolve(name,
+    line, column)`` gives an identifier's value, ``one`` is the key of the
+    constant monomial and ``mul`` multiplies two values; the default
+    multiplies polynomials keyed by exponent tuples."""
+    return _Parser(text, resolve, one, mul).parse()
 
 
 def parse_scalar(text: str, chart: BaseChart) -> ScalarField:
     """Parse an expression in the chart coordinates to canonical form."""
+    one = (0,) * chart.m
 
-    def resolve(name: str, line: int, col: int) -> ScalarField:
+    def resolve(name: str, line: int, col: int) -> dict:
         if name not in chart.names:
             raise ParseError(f"unknown identifier {name!r}", line, col)
-        return ScalarField.coord(chart, name)
+        i = chart.names.index(name)
+        return {one[:i] + (1,) + one[i + 1 :]: 1}
 
-    return parse_expression(text, resolve, lambda q: ScalarField.const(chart, q))
-
+    return ScalarField(chart, parse_expression(text, resolve, one))

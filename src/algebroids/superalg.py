@@ -35,6 +35,10 @@ table are made with it.
 morphism that sends odd generators to given values, possibly on another
 table over the same chart. ``algebroid.pullback`` and
 ``dirac.sharp_substitution`` are calls to it.
+
+``parse_super`` builds no SuperPoly until the end: the shared parser folds
+rationals on (odd, even, coordinate exponents) keys, and each (odd, even)
+group then becomes one ScalarField coefficient.
 """
 
 from __future__ import annotations
@@ -560,14 +564,42 @@ def gauge_divergence(X: SuperVectorField, g: ScalarField) -> SuperPoly:
     return divergence(X) + moved / g
 
 
+def _parsed_product(a: dict, b: dict) -> dict:
+    """Product of parsed values, keyed by (odd, even, coordinate exponents):
+    _merge_odd gives the sign, and a repeated odd generator gives zero."""
+    r: dict = {}
+    for (oa, ea, xa), ca in a.items():
+        for (ob, eb, xb), cb in b.items():
+            sign, odd = _merge_odd(oa, ob)
+            if not sign:
+                continue
+            key = (odd, tuple(map(add, ea, eb)), tuple(map(add, xa, xb)))
+            s = r.get(key, 0) + (ca * cb if sign > 0 else -ca * cb)
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+    return r
+
+
 def parse_super(text: str, table: GeneratorTable) -> SuperPoly:
     """Parse an expression over the chart coordinates and generators."""
+    zeros = (0,) * len(table.even2)
+    coords = (0,) * table.chart.m
 
-    def resolve(name: str, line: int, col: int) -> SuperPoly:
+    def resolve(name: str, line: int, col: int) -> dict:
         try:
-            table.role(name)
+            kind, i = table.role(name)
         except KeyError:
             raise ParseError(f"unknown identifier {name!r}", line, col) from None
-        return SuperPoly.generator(table, name)
+        if kind == "odd":
+            return {((i,), zeros, coords): 1}
+        if kind == "even2":
+            return {((), zeros[:i] + (1,) + zeros[i + 1 :], coords): 1}
+        return {((), zeros, coords[:i] + (1,) + coords[i + 1 :]): 1}
 
-    return parse_expression(text, resolve, lambda q: SuperPoly.from_scalar(table, q))
+    value = parse_expression(text, resolve, ((), zeros, coords), _parsed_product)
+    groups: dict = {}
+    for (odd, even, exponents), q in value.items():
+        groups.setdefault((odd, even), {})[exponents] = q
+    return SuperPoly(table, {key: ScalarField(table.chart, num) for key, num in groups.items()})

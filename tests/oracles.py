@@ -21,9 +21,13 @@ with v the degree of the (homogeneous) right argument.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+from math import comb
+
 from algebroids.algebroid import SkewAlgebroid
 from algebroids.linalg import matrix_rank, solve_linear
-from algebroids.scalar import ScalarField
+from algebroids.scalar import _MAX_EXPONENT, _MAX_NESTING, _MAX_TERMS, ParseError, ScalarField
 from algebroids.superalg import SuperPoly
 
 
@@ -354,3 +358,147 @@ def induced_algebroid_oracle(D, H):
                 ((), zeros), zero
             )
     return SkewAlgebroid(space.chart, n, c, rho)
+
+
+# The expression grammar evaluated the way it was before the parser folded
+# plain polynomial dicts: every atom and every operator builds a canonical
+# ScalarField or SuperPoly by the library's arithmetic. The text is split at
+# spaces first and each piece into tokens second.
+
+_PIECE_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*^()/]|\S")
+
+
+def _two_step_tokens(text: str) -> list:
+    toks, line, start = [], 1, 0
+    for piece in re.finditer(r"\S+|\n", text):
+        if piece.group() == "\n":
+            line, start = line + 1, piece.end()
+            continue
+        for t in _PIECE_TOKEN.finditer(piece.group()):
+            toks.append((t.group(), line, piece.start() + t.start() - start + 1))
+    return toks
+
+
+class _ValueParser:
+    def __init__(self, text: str, chart, table):
+        self.toks, self.pos, self.depth = _two_step_tokens(text), 0, 0
+        self.chart, self.table = chart, table
+        if not self.toks:
+            raise ParseError("empty expression", 1, 1)
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self):
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def fail(self, message: str):
+        _, line, col = self.toks[min(self.pos, len(self.toks) - 1)]
+        raise ParseError(message, line, col)
+
+    def count(self, value) -> int:
+        if isinstance(value, ScalarField):
+            return len(value.num)
+        return sum(len(c.num) for c in value.terms.values())
+
+    def bounded(self, value, line: int, col: int):
+        if self.count(value) > _MAX_TERMS:
+            raise ParseError(f"expression has more than {_MAX_TERMS} terms", line, col)
+        return value
+
+    def integer(self, tok: str, line: int, col: int) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(f"cannot read the {len(tok)}-character integer literal", line, col) from None
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() == "/":
+            self.fail("'/' is only allowed in rational literals")
+        if self.peek() is not None:
+            self.fail(f"unexpected {self.peek()!r}")
+        return value
+
+    def signed_term(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.term()
+        return self.term()
+
+    def expr(self):
+        value = self.signed_term()
+        while self.peek() in ("+", "-"):
+            op, line, col = self.take()
+            rhs = self.signed_term()
+            value = self.bounded(value + rhs if op == "+" else value - rhs, line, col)
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek() == "*":
+            _, line, col = self.take()
+            value = self.bounded(value * self.factor(), line, col)
+        return value
+
+    def factor(self):
+        value = self.atom()
+        if self.peek() != "^":
+            return value
+        self.take()
+        if self.peek() is None or not self.peek().isdigit():
+            self.fail("expected a nonnegative integer exponent after '^'")
+        tok, line, col = self.take()
+        k = self.integer(tok, line, col)
+        if k > _MAX_EXPONENT:
+            raise ParseError(f"exponent larger than {_MAX_EXPONENT}", line, col)
+        n = self.count(value)
+        if n and comb(n + k - 1, k) > _MAX_TERMS:
+            raise ParseError(f"power has more than {_MAX_TERMS} terms", line, col)
+        return value**k
+
+    def const(self, q):
+        if self.table is None:
+            return ScalarField.const(self.chart, q)
+        return SuperPoly.from_scalar(self.table, q)
+
+    def atom(self):
+        if self.peek() is None:
+            self.fail("unexpected end of expression")
+        tok, line, col = self.take()
+        if tok == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", line, col)
+            self.depth += 1
+            value = self.expr()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.take()
+            self.depth -= 1
+            return value
+        if tok.isdigit():
+            q = Fraction(self.integer(tok, line, col))
+            if self.peek() == "/":
+                self.take()
+                if self.peek() is None or not self.peek().isdigit():
+                    self.fail("expected a positive integer after '/'")
+                dtok, dline, dcol = self.take()
+                d = self.integer(dtok, dline, dcol)
+                if d == 0:
+                    raise ParseError("zero denominator", dline, dcol)
+                q /= d
+            return self.const(q)
+        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+            if self.table is None and tok in self.chart.names:
+                return ScalarField.coord(self.chart, tok)
+            if self.table is not None and tok in (*self.chart.names, *self.table.odd, *self.table.even2):
+                return SuperPoly.generator(self.table, tok)
+            raise ParseError(f"unknown identifier {tok!r}", line, col)
+        raise ParseError(f"unexpected {tok!r}", line, col)
+
+
+def parse_oracle(text: str, chart, table=None):
+    """What parse_scalar(text, chart) gives, or with a generator table over
+    the chart what parse_super(text, table) gives, by value arithmetic."""
+    return _ValueParser(text, chart, table).parse()

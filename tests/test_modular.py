@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroids import modular
 from algebroids.algebroid import AlgebroidMorphism, SkewAlgebroid
 from algebroids.errors import InternalConsistencyError
 from algebroids.modular import (
@@ -178,3 +179,20 @@ def test_morphism_relative_class():
     broken = AlgebroidMorphism(AFF1, AFF1, {(1, 2): 1, (2, 1): 1})
     with pytest.raises(ValueError):
         modular_class_of_morphism(broken)
+
+
+def test_consistency_error_carries_both_forms(monkeypatch):
+    """A planted error in the trace route: the error names the check and
+    carries the divergence form and the trace form, in that order."""
+    traces = modular._structure_traces
+
+    def shifted(A):
+        return [f + 1 for f in traces(A)]
+
+    monkeypatch.setattr(modular, "_structure_traces", shifted)
+    A = SkewAlgebroid(CH1, 2, {(1, 2, 2): 1}, {})  # fresh: AFF1 memoises its cocycle
+    with pytest.raises(InternalConsistencyError, match="modular cocycle paths disagree") as err:
+        modular_cocycle(A)
+    assert err.value.check == "modular_cocycle"
+    assert err.value.values == (form(A, "y1"), form(A, "2*y1 + y2"))
+    assert str(err.value) == "modular cocycle paths disagree: y1 against 2*y1 + y2"
