@@ -2,8 +2,7 @@
 
 Structure data is a rank, antisymmetric structure functions c (stored
 for i<j only) and anchor components rho, nonzero entries only. Every
-structure loop walks the stored entries; c_at and rho_at, which read an
-absent entry as zero, serve tests and oracles. ScalarField.zero and
+structure loop walks the stored entries. ScalarField.zero and
 ScalarField.one are one shared object per chart. Three encodings share the
 kernel: sections of the bundle are coefficient tuples over the frame
 e_1..e_n; forms are polynomials in odd generators y1..yn (y^i dual to
@@ -96,17 +95,6 @@ class SkewAlgebroid:
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebroid is immutable")
-
-    def c_at(self, i: int, j: int, k: int) -> ScalarField:
-        """Antisymmetric extension of the stored i<j entries."""
-        if i == j:
-            return ScalarField.zero(self.chart)
-        if i < j:
-            return self.c.get((i, j, k), ScalarField.zero(self.chart))
-        return -self.c.get((j, i, k), ScalarField.zero(self.chart))
-
-    def rho_at(self, i: int, a: int) -> ScalarField:
-        return self.rho.get((i, a), ScalarField.zero(self.chart))
 
     def table(self) -> GeneratorTable:
         """Form generators y1..yn over the chart."""

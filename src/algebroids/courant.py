@@ -52,7 +52,6 @@ from .scalar import BaseChart, ScalarField
 from .superalg import (
     GeneratorTable,
     SuperPoly,
-    SuperVectorField,
     _add_product,
     _monomial_sum,
     _partial_terms,
@@ -76,11 +75,11 @@ class SymplecticSpace2:
     def __init__(self, chart: BaseChart, zeta: tuple, pairing, split_rank: int | None = None):
         zeta = tuple(zeta)
         n = len(zeta)
-        if (
-            split_rank is not None
-            and n == 2 * split_rank
-            and tuple(map(tuple, pairing)) == _block_pairing(split_rank)
-        ):
+        if split_rank is not None:
+            if n != 2 * split_rank:
+                raise ValueError("split marking needs exactly 2n odd generators")
+            if tuple(map(tuple, pairing)) != _block_pairing(split_rank):
+                raise ValueError("split marking needs the block pairing")
             # the block pairing is symmetric and its own inverse; its rows
             # each hold one 1, at the conjugate generator
             g = inv = _block_pairing(split_rank)
@@ -93,16 +92,9 @@ class SymplecticSpace2:
                 for j in range(n):
                     if g[i][j] != g[j][i]:
                         raise ValueError("pairing must be symmetric")
-            if split_rank is not None:
-                if n != 2 * split_rank:
-                    raise ValueError("split marking needs exactly 2n odd generators")
-                if tuple(map(tuple, g)) != _block_pairing(split_rank):
-                    raise ValueError("split marking needs the block pairing")
-                inv = g
-            else:
-                inv = invert_matrix(g, Fraction(0), Fraction(1))
-                if inv is None:
-                    raise ValueError("pairing must be invertible")
+            inv = invert_matrix(g, Fraction(0), Fraction(1))
+            if inv is None:
+                raise ValueError("pairing must be invertible")
             inv_rows = tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in inv)
         momenta = tuple(f"p{a}" for a in range(1, chart.m + 1))
         object.__setattr__(self, "chart", chart)
@@ -258,15 +250,6 @@ def anchor_apply(X: SuperPoly, f, H: Hamiltonian) -> SuperPoly:
         f = SuperPoly.from_scalar(H.space.table, f)
     inner = poisson_bracket(X, H.value, H.space)
     return poisson_bracket(inner, f, H.space)
-
-
-def hamiltonian_field(H: Hamiltonian) -> SuperVectorField:
-    """The derivation {H, .} packaged by its generator components."""
-    table = H.space.table
-    comps = {}
-    for name in (*table.chart.names, *table.odd, *table.even2):
-        comps[name] = poisson_bracket(H.value, SuperPoly.generator(table, name), H.space)
-    return SuperVectorField(table, comps)
 
 
 def _monomial_type(space: SymplecticSpace2, key: tuple) -> tuple:

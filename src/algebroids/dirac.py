@@ -76,14 +76,6 @@ class Bivector:
     def __setattr__(self, name, value):
         raise AttributeError("Bivector is immutable")
 
-    def at(self, i: int, j: int) -> ScalarField:
-        """Full antisymmetric matrix entry P^{ij}."""
-        if i == j:
-            return ScalarField.zero(self.space.chart)
-        if i < j:
-            return self.entries.get((i, j), ScalarField.zero(self.space.chart))
-        return -self.entries.get((j, i), ScalarField.zero(self.space.chart))
-
     @property
     def value(self) -> SuperPoly:
         """The quadratic element, built on first use."""
@@ -125,14 +117,6 @@ class Bivector:
         beta = _components(self.space.chart, n, beta)
         image = self.sharp(alpha)
         return sum((x * b for x, b in zip(image, beta)), ScalarField.zero(self.space.chart))
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        bits = []
-        for (i, j) in sorted(self.entries):
-            bits.append(f"({self.entries[(i, j)]})*{self.space.xi_name(i)}*{self.space.xi_name(j)}")
-        return " + ".join(bits)
 
 
 class DiracFrame:

@@ -68,19 +68,6 @@ class Cocycle1:
     def is_zero(self) -> bool:
         return self.value.is_zero
 
-    def __add__(self, other):
-        if not isinstance(other, Cocycle1) or other.algebroid is not self.algebroid:
-            return NotImplemented
-        return Cocycle1(self.algebroid, self.value + other.value)
-
-    def __sub__(self, other):
-        if not isinstance(other, Cocycle1) or other.algebroid is not self.algebroid:
-            return NotImplemented
-        return Cocycle1(self.algebroid, self.value - other.value)
-
-    def __neg__(self):
-        return Cocycle1(self.algebroid, -self.value)
-
     def __eq__(self, other):
         if not isinstance(other, Cocycle1):
             return NotImplemented
@@ -190,16 +177,11 @@ def is_exact(A: SkewAlgebroid, alpha, bound: int | None = None):
     for expo in monos:
         base = ScalarField(chart, {expo: 1})
         images.append([A.anchor_action(e_i, base) for e_i in frame])
-    keys = set()
-    for i, comp in enumerate(components):
-        keys.update(m for m, _ in comp.monomials())
-        for img in images:
-            keys.update(m for m, _ in img[i].monomials())
     rows, rhs = [], []
     for i in range(A.rank):
         nums = [img[i].num for img in images]
         target = components[i].num
-        for key in sorted(keys):
+        for key in sorted(set(target).union(*nums)):
             rows.append([Fraction(num.get(key, 0)) for num in nums])
             rhs.append(Fraction(target.get(key, 0)))
     solution = solve_linear(rows, rhs, Fraction(0))

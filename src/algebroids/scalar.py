@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import comb, gcd, isqrt, lcm
 from operator import add, sub
-from typing import Callable, Iterator
+from typing import Callable
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -456,12 +456,6 @@ class ScalarField:
     def is_polynomial(self) -> bool:
         return _is_const(self._d)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant; raises if not constant."""
-        if self.is_zero or (self.is_polynomial and _is_const(self._n)):
-            return Fraction(self._k)
-        raise ValueError(f"not a constant: {self}")
-
     def total_degree(self) -> int:
         """Total degree of a polynomial value; -1 for zero."""
         if not self.is_polynomial:
@@ -469,14 +463,6 @@ class ScalarField:
         if self.is_zero:
             return -1
         return max(sum(m) for m in self._n)
-
-    def monomials(self) -> Iterator[tuple[tuple, Fraction]]:
-        """Numerator terms of a polynomial value, descending grlex."""
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self}")
-        num = self.num
-        for m in sorted(num, key=_grlex, reverse=True):
-            yield m, num[m]
 
     # arithmetic
 

@@ -336,14 +336,6 @@ class SuperPoly:
         inv = 1 / other
         return SuperPoly(self.table, {k: c * inv for k, c in self.terms.items()})
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = SuperPoly.from_scalar(self.table, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, SuperPoly) else other
         if o is None or not isinstance(o, SuperPoly):
@@ -496,22 +488,6 @@ class SuperVectorField:
         for name, comp in self.components.items():
             _add_product(terms, comp.terms, f.left_partial(name).terms)
         return SuperPoly(self.table, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, SuperVectorField) or other.table != self.table:
-            return NotImplemented
-        names = set(self.components) | set(other.components)
-        return SuperVectorField(
-            self.table, {n: self.component(n) + other.component(n) for n in names}
-        )
-
-    def __neg__(self):
-        return SuperVectorField(self.table, {n: -c for n, c in self.components.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperVectorField) or other.table != self.table:
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, SuperVectorField):

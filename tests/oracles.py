@@ -31,6 +31,33 @@ from algebroids.scalar import _MAX_EXPONENT, _MAX_NESTING, _MAX_TERMS, ParseErro
 from algebroids.superalg import SuperPoly
 
 
+# Dense accessors over the stored entries: an absent entry reads as zero, and
+# c and P^{..} extend antisymmetrically from their stored i<j entries.
+
+
+def c_at(A: SkewAlgebroid, i: int, j: int, k: int) -> ScalarField:
+    """c_{ij}^k."""
+    if i == j:
+        return ScalarField.zero(A.chart)
+    if i < j:
+        return A.c.get((i, j, k), ScalarField.zero(A.chart))
+    return -A.c.get((j, i, k), ScalarField.zero(A.chart))
+
+
+def rho_at(A: SkewAlgebroid, i: int, a: int) -> ScalarField:
+    """rho_i^a."""
+    return A.rho.get((i, a), ScalarField.zero(A.chart))
+
+
+def bivector_at(P, i: int, j: int) -> ScalarField:
+    """P^{ij}."""
+    if i == j:
+        return ScalarField.zero(P.space.chart)
+    if i < j:
+        return P.entries.get((i, j), ScalarField.zero(P.space.chart))
+    return -P.entries.get((j, i), ScalarField.zero(P.space.chart))
+
+
 def _xi_mono(A: SkewAlgebroid, idx: tuple) -> SuperPoly:
     table = A.mv_table()
     if not idx:
@@ -41,7 +68,7 @@ def _xi_mono(A: SkewAlgebroid, idx: tuple) -> SuperPoly:
 def _anchor_scalar(A: SkewAlgebroid, i0: int, g: ScalarField) -> ScalarField:
     out = ScalarField.zero(A.chart)
     for a in range(1, A.chart.m + 1):
-        r = A.rho_at(i0 + 1, a)
+        r = rho_at(A, i0 + 1, a)
         if not r.is_zero:
             out = out + r * g.partial(a)
     return out
@@ -51,7 +78,7 @@ def _frame_bracket(A: SkewAlgebroid, i0: int, j0: int) -> SuperPoly:
     table = A.mv_table()
     out = SuperPoly.zero(table)
     for k in range(1, A.rank + 1):
-        f = A.c_at(i0 + 1, j0 + 1, k)
+        f = c_at(A, i0 + 1, j0 + 1, k)
         if not f.is_zero:
             out = out + f * SuperPoly.generator(table, table.odd[k - 1])
     return out
@@ -243,8 +270,8 @@ def substitution_oracle(F: SuperPoly, images: dict, table) -> SuperPoly:
 
 
 # Structure maps from their index formulas, summed over every index with the
-# dense accessors c_at, rho_at and Bivector.at, which read an absent entry
-# as zero. The library walks only the stored entries instead.
+# dense accessors c_at, rho_at and bivector_at. The library walks only the
+# stored entries instead.
 
 
 def anchor_action_oracle(A: SkewAlgebroid, X, f: ScalarField) -> ScalarField:
@@ -252,7 +279,7 @@ def anchor_action_oracle(A: SkewAlgebroid, X, f: ScalarField) -> ScalarField:
     out = ScalarField.zero(A.chart)
     for i in range(1, A.rank + 1):
         for a in range(1, A.chart.m + 1):
-            out = out + X[i - 1] * A.rho_at(i, a) * f.partial(a)
+            out = out + X[i - 1] * rho_at(A, i, a) * f.partial(a)
     return out
 
 
@@ -263,7 +290,7 @@ def bracket_sections_oracle(A: SkewAlgebroid, X, Y) -> tuple:
         v = anchor_action_oracle(A, X, Y[k - 1]) - anchor_action_oracle(A, Y, X[k - 1])
         for i in range(1, A.rank + 1):
             for j in range(1, A.rank + 1):
-                v = v + X[i - 1] * Y[j - 1] * A.c_at(i, j, k)
+                v = v + X[i - 1] * Y[j - 1] * c_at(A, i, j, k)
         out.append(v)
     return tuple(out)
 
@@ -272,9 +299,9 @@ def modular_component_oracle(A: SkewAlgebroid, i: int) -> ScalarField:
     """phi_i = sum_k c_{ik}^k + sum_a d(rho_i^a)/dx^a."""
     out = ScalarField.zero(A.chart)
     for k in range(1, A.rank + 1):
-        out = out + A.c_at(i, k, k)
+        out = out + c_at(A, i, k, k)
     for a in range(1, A.chart.m + 1):
-        out = out + A.rho_at(i, a).partial(a)
+        out = out + rho_at(A, i, a).partial(a)
     return out
 
 
@@ -282,7 +309,7 @@ def sharp_oracle(P, alpha) -> tuple:
     """P#(alpha)_j = sum_i alpha_i P^{ij}."""
     n = P.space.split_rank
     zero = ScalarField.zero(P.space.chart)
-    return tuple(sum((alpha[i - 1] * P.at(i, j) for i in range(1, n + 1)), zero) for j in range(1, n + 1))
+    return tuple(sum((alpha[i - 1] * bivector_at(P, i, j) for i in range(1, n + 1)), zero) for j in range(1, n + 1))
 
 
 def pairing_oracle(P, alpha, beta) -> ScalarField:
@@ -291,7 +318,7 @@ def pairing_oracle(P, alpha, beta) -> ScalarField:
     out = ScalarField.zero(P.space.chart)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            out = out + alpha[i - 1] * P.at(i, j) * beta[j - 1]
+            out = out + alpha[i - 1] * bivector_at(P, i, j) * beta[j - 1]
     return out
 
 
@@ -313,7 +340,7 @@ def conjugate_frame_oracle(A: SkewAlgebroid, G) -> SkewAlgebroid | None:
             t = solve_linear(transposed, list(bracket_sections_oracle(A, G[i - 1], G[j - 1])), zero)
             c.update(((i, j, k), t[k - 1]) for k in range(1, n + 1))
     rho = {
-        (i, a): sum((G[i - 1][l - 1] * A.rho_at(l, a) for l in range(1, n + 1)), zero)
+        (i, a): sum((G[i - 1][l - 1] * rho_at(A, l, a) for l in range(1, n + 1)), zero)
         for i in range(1, n + 1)
         for a in range(1, A.chart.m + 1)
     }
@@ -456,7 +483,10 @@ class _ValueParser:
         n = self.count(value)
         if n and comb(n + k - 1, k) > _MAX_TERMS:
             raise ParseError(f"power has more than {_MAX_TERMS} terms", line, col)
-        return value**k
+        power = self.const(1)
+        for _ in range(k):
+            power = power * value
+        return power
 
     def const(self, q):
         if self.table is None:

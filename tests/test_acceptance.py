@@ -63,6 +63,7 @@ from genlib import (
     rand_skew,
     rand_super_homogeneous,
 )
+from oracles import bivector_at, c_at, rho_at
 
 CHARTS = [
     BaseChart(("x1",)),
@@ -119,13 +120,13 @@ def test_criterion_01_bracket_and_anchor_read_back_structure_data():
             for j in range(i + 1, A.rank + 1):
                 expected = SuperPoly.zero(space.table)
                 for k in range(1, A.rank + 1):
-                    expected = expected + scal(space, A.c_at(i, j, k)) * xi(space, k)
+                    expected = expected + scal(space, c_at(A, i, j, k)) * xi(space, k)
                 assert derived_bracket(xi(space, i), xi(space, j), H) == expected
                 checked += 1
             for a in range(1, chart.m + 1):
                 coord = ScalarField.coord(chart, chart.names[a - 1])
                 got = anchor_apply(xi(space, i), coord, H)
-                assert got == scal(space, A.rho_at(i, a))
+                assert got == scal(space, rho_at(A, i, a))
     assert checked >= 60
     report(1, "derived bracket and anchor read back the structure data")
 
@@ -323,8 +324,8 @@ def test_criterion_10_graph_projection_is_morphism_on_instances():
     for A, P, H in instances():
         flag, certificate = verify_morphism_cor53(P, H)
         assert flag and certificate is None
-        if A.rank == 4 and P.at(1, 2) == ScalarField.one(A.chart):
-            if str(P.at(3, 4)) == "x1 + 1":
+        if A.rank == 4 and bivector_at(P, 1, 2) == ScalarField.one(A.chart):
+            if str(bivector_at(P, 3, 4)) == "x1 + 1":
                 book = True
     assert book
     report(10, "the sharp map is a morphism on every compatible instance")
@@ -340,7 +341,7 @@ def test_criterion_11_relative_class_two_paths():
         for alpha in range(1, A.rank + 1):
             coeff = ScalarField.zero(A.chart)
             for i in range(1, A.rank + 1):
-                coeff = coeff + base.component(i) * P.at(i, alpha)
+                coeff = coeff + base.component(i) * bivector_at(P, i, alpha)
             rhs = rhs + SuperPoly.from_scalar(table, coeff) * SuperPoly.generator(
                 table, table.odd[alpha - 1]
             )

@@ -17,7 +17,6 @@ from algebroids.courant import (
     anchor_apply,
     bidegree_split,
     derived_bracket,
-    hamiltonian_field,
     hamiltonian_square,
     is_projectable,
     poisson_bracket,
@@ -29,7 +28,7 @@ from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
 from genlib import rand_lie, rand_skew, rand_super_homogeneous
-from oracles import poisson_bracket_oracle
+from oracles import c_at, poisson_bracket_oracle, rho_at
 
 CH1 = BaseChart(("x1",))
 CH2 = BaseChart(("x1", "x2"))
@@ -116,7 +115,9 @@ def test_space_validation():
         SymplecticSpace2(CH1, ("z1", "z2", "z3"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], split_rank=1)
     with pytest.raises(ValueError):
         SymplecticSpace2(CH1, ("z1", "z2"), [[1, 0], [0, 1]], split_rank=1)
-    sp = split_space(CH2, 2)
+    with pytest.raises(ValueError, match="block pairing"):
+        SymplecticSpace2(CH1, ("z1", "z2"), [["0", "1"], ["1", "0"]], split_rank=1)
+    sp =split_space(CH2, 2)
     other = split_space(CH2, 1)
     with pytest.raises(ValueError):
         poisson_bracket(gen(sp, "y1"), gen(other, "y1"), sp)
@@ -268,12 +269,12 @@ def test_frame_brackets_and_anchor():
                 got = derived_bracket(gen(sp, sp.xi_name(i)), gen(sp, sp.xi_name(j)), mu)
                 want = SuperPoly.zero(sp.table)
                 for k in range(1, A.rank + 1):
-                    want = want + A.c_at(i, j, k) * gen(sp, sp.xi_name(k))
+                    want = want + c_at(A, i, j, k) * gen(sp, sp.xi_name(k))
                 assert got == want
             for a, x_name in enumerate(A.chart.names, start=1):
                 f = SuperPoly.from_scalar(sp.table, ScalarField.coord(A.chart, x_name))
                 got = anchor_apply(gen(sp, sp.xi_name(i)), f, mu)
-                assert got == SuperPoly.from_scalar(sp.table, A.rho_at(i, a))
+                assert got == SuperPoly.from_scalar(sp.table, rho_at(A, i, a))
 
 
 def test_derived_bracket_matches_section_bracket():
@@ -307,18 +308,6 @@ def test_square_iff_lie():
     for A in pool:
         sq = hamiltonian_square(algebroid_hamiltonian(A))
         assert sq.is_zero == is_lie(A)[0]
-
-
-def test_hamiltonian_field_matches_bracket():
-    rng = random.Random(408)
-    sp = split_space(CH2, 2)
-    tm = tangent(CH2)
-    H = algebroid_hamiltonian(tm, sp)
-    field = hamiltonian_field(H)
-    assert field.parity == 1
-    for _ in range(8):
-        F = rand_super_homogeneous(rng, sp.table, rng.randrange(0, 4))
-        assert field.apply(F) == poisson_bracket(H.value, F, sp)
 
 
 def test_dorfman_classical_values():

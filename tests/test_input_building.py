@@ -132,8 +132,8 @@ def _counting(monkeypatch, owner, names, counter, key):
         monkeypatch.setattr(owner, name, counted)
 
 
-SUPER_ARITH = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__pow__")
-SCALAR_ARITH = (*SUPER_ARITH, "__rtruediv__", "__neg__", "partial")
+SUPER_ARITH = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__")
+SCALAR_ARITH = (*SUPER_ARITH, "__pow__", "__rtruediv__", "__neg__", "partial")
 
 
 def test_parsing_and_frames_do_no_algebra(monkeypatch):
