@@ -7,11 +7,15 @@ are decided by linear algebra over the rational-function field, so every
 answer is generic: valid away from the finitely many hypersurfaces where a
 frame minor or a denominator vanishes.
 
+Twisting is a gauge transformation: ad_P raises the xi-weight by one and
+lowers the y-weight by one, so for a projectable H = mu + phi (phi the pure-y
+cubic) the (2,1) part of exp(ad_P) H is the twisted generator
+{P, mu} + 1/2 {P, {P, phi}} and its (3,0) part is the twist obstruction.
+
 Sign pinning.  With the bracket conventions of the quadratic layer,
 {P, y^i} = -P^{ij} xi_j, and the cubic part of a generator enters twisted
-formulas with a global flip: writing H = mu + phi (phi the pure-y cubic part
-of H), the covector bracket produced by the twisted generator
-{P, mu} + 1/2 {P, {P, phi}} matches
+formulas with a global flip: the covector bracket produced by the twisted
+generator matches
 
     L_{P#a} b - L_{P#b} a - d(P(a, b)) - i_{P#b} i_{P#a} phi
 
@@ -41,7 +45,6 @@ from .algebroid import (
 from .courant import (
     Hamiltonian,
     SymplecticSpace2,
-    _monomial_type,
     bidegree_split,
     poisson_bracket,
     project_to_E,
@@ -266,25 +269,15 @@ def sharp_substitution(P: Bivector, F: SuperPoly) -> SuperPoly:
     return F.subst_odd(images)
 
 
-def _xi_restriction(space: SymplecticSpace2, F: SuperPoly) -> SuperPoly:
-    """Set y = 0 and p = 0, keeping the pure (x, xi) part."""
-    n = space.split_rank
-    kept = {
-        key: c
-        for key, c in F.terms.items()
-        if all(g >= n for g in key[0]) and not any(key[1])
-    }
-    return SuperPoly(space.table, kept)
-
-
 TwistedStructure = namedtuple("TwistedStructure", "value algebroid")
 
 
 def _twist(P: Bivector, H: Hamiltonian):
     """(obstruction, TwistedStructure or None) of the pair; once per (P, H).
 
-    Both obstruction routes are compared, and the twisted structure is
-    built when the obstruction vanishes. The result is memoised on H under
+    One bidegree split of exp(ad_P) H gives the obstruction, compared with
+    the multivector-bracket route, and the twisted generator, whose algebroid
+    is built when the obstruction vanishes. The result is memoised on H under
     ("twist", P), a value key, so an equal bivector read back off a graph
     frame finds it.
     """
@@ -295,11 +288,11 @@ def _twist(P: Bivector, H: Hamiltonian):
     if key in H._memo:
         return H._memo[key]
     A = project_to_E(H)
-    parts = bidegree_split(H)
-    obstruction = _xi_restriction(space, gauge_transform(H.value, P))
+    flowed = bidegree_split(Hamiltonian(space, gauge_transform(H.value, P)))
+    obstruction = flowed.psi.value
     pmv = transport(P.value, A.mv_table())
     square = schouten(A, pmv, pmv)
-    phi = parts.phi.value
+    phi = bidegree_split(H).phi.value
     path2 = transport(square, space.table) * Fraction(-1, 2) - sharp_substitution(P, phi)
     if obstruction != path2:
         raise InternalConsistencyError(
@@ -308,21 +301,11 @@ def _twist(P: Bivector, H: Hamiltonian):
     twisted = None
     if obstruction.is_zero:
         n = space.split_rank
-        value = poisson_bracket(P.value, parts.mu.value, space)
-        if not phi.is_zero:
-            inner = poisson_bracket(P.value, poisson_bracket(P.value, phi, space), space)
-            value = value + inner * Fraction(1, 2)
-        c, rho = {}, {}
-        for (odd, even), coeff in value.terms.items():
-            kind = _monomial_type(space, (odd, even))
-            if kind == (1, 2, 0):
-                k, i, j = odd[0] + 1, odd[1] - n + 1, odd[2] - n + 1
-                c[(i, j, k)] = -coeff
-            elif kind == (0, 1, 1):
-                rho[(odd[0] - n + 1, even.index(1) + 1)] = -coeff
-            else:
-                raise InternalConsistencyError("twisted generator has an illegal monomial type")
-        twisted = TwistedStructure(value, SkewAlgebroid(space.chart, n, c, rho))
+        terms = flowed.gamma.value.terms.items()
+        # y^k xi_i xi_j terms give c^{ij}_k, and xi_i p_b terms the anchor
+        c = {(o[1] - n + 1, o[2] - n + 1, o[0] + 1): -f for (o, _), f in terms if len(o) == 3}
+        rho = {(o[0] - n + 1, e.index(1) + 1): -f for (o, e), f in terms if len(o) == 1}
+        twisted = TwistedStructure(flowed.gamma.value, SkewAlgebroid(space.chart, n, c, rho))
     H._memo[key] = obstruction, twisted
     return obstruction, twisted
 
@@ -330,9 +313,9 @@ def _twist(P: Bivector, H: Hamiltonian):
 def quasi_poisson_check(P: Bivector, H: Hamiltonian):
     """(flag, obstruction): does the gauge flow of H vanish on the xi locus?
 
-    The obstruction is computed twice: by restricting gauge_transform(H, P)
-    to y = p = 0, and independently as -1/2 [[P, P]] - (sharp^3) phi via the
-    multivector bracket; a mismatch raises.
+    The obstruction is computed twice: as the xi xi xi part (y = p = 0) of
+    gauge_transform(H, P), and independently as -1/2 [[P, P]] - (sharp^3) phi
+    via the multivector bracket; a mismatch raises.
     """
     obstruction, _ = _twist(P, H)
     return obstruction.is_zero, obstruction
@@ -341,8 +324,8 @@ def quasi_poisson_check(P: Bivector, H: Hamiltonian):
 def twisted_hamiltonian(P: Bivector, H: Hamiltonian) -> TwistedStructure:
     """Dual-side generator {P, mu} + 1/2 {P, {P, phi}} and its algebroid.
 
-    The result has monomial types {xi xi y, xi p} only; reading xi as the
-    dual frame gives structure functions c'^{ij}_k = -coeff(xi_i xi_j y^k)
+    It is the (xi xi y, xi p) part of gauge_transform(H, P). Reading xi as
+    the dual frame gives structure functions c'^{ij}_k = -coeff(xi_i xi_j y^k)
     and anchor rho'^{ib} = -coeff(xi_i p_b).
     """
     obstruction, twisted = _twist(P, H)
@@ -431,11 +414,12 @@ def solve_twist(P: Bivector, A: SkewAlgebroid) -> SuperPoly | None:
 def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
     """Structure carried by the frame when it closes under the derived bracket.
 
-    Span membership is decided over the rational-function field by one
-    reduction that serves every pair: the frame's pivot rows, laid out as
-    [members | one column per bracket]. A bracket leaving the span raises
-    DiracClosureError carrying the offending pair and the full bracket as
-    residual evidence.
+    It takes n + n(n-1)/2 brackets, {D_a, H} and {{D_a, H}, D_b}, and reads
+    the anchor off {D_a, H}. Span membership is decided over the
+    rational-function field by one reduction that serves every pair: the
+    frame's pivot rows, laid out as [members | one column per bracket]. A
+    bracket leaving the span raises DiracClosureError carrying the offending
+    pair and the full bracket as residual evidence.
     """
     space = D.space
     if H.space != space:
@@ -465,15 +449,10 @@ def induced_algebroid(D: DiracFrame, H: Hamiltonian) -> SkewAlgebroid:
             raise DiracClosureError(
                 f"bracket of frame members ({a},{b}) leaves the frame span", (a, b), residual
             )
-    rho = {}
-    for a in range(1, n + 1):
-        for bb, name in enumerate(chart.names, start=1):
-            acted = poisson_bracket(inner[a - 1], SuperPoly.coordinate(space.table, name), space)
-            f = acted.terms.get(((), zeros), zero)
-            if acted != SuperPoly.from_scalar(space.table, f):
-                raise InternalConsistencyError("frame anchor is not a base function")
-            rho[(a, bb)] = f
-    # SkewAlgebroid drops the zero entries of rho
+    # {D_a, H} has degree 2: its odd-free terms are f p_b, with {{D_a, H}, x^b} = -f
+    rho = {
+        (a, e.index(1) + 1): -f for a, br in enumerate(inner, 1) for (o, e), f in br.terms.items() if not o
+    }
     return SkewAlgebroid(chart, n, c, rho)
 
 

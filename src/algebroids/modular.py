@@ -23,7 +23,7 @@ routes are compared once per (algebroid, gauge).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .algebroid import (
     SkewAlgebroid,
@@ -119,12 +119,13 @@ def characteristic_form(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     coeffs = [ScalarField.zero(A.chart)] * A.rank
     for (i, a), r in A.rho.items():
         coeffs[i - 1] = coeffs[i - 1] + r.partial(a)
-    for i in range(1, A.rank + 1):
-        e_i = A.frame_section(i)
-        for k in range(1, A.rank + 1):
-            coeffs[i - 1] = coeffs[i - 1] + bracket_sections(A, e_i, A.frame_section(k))[k - 1]
-        if g is not None:
-            coeffs[i - 1] = coeffs[i - 1] + A.anchor_action(e_i, g) / g
+    frame = [A.frame_section(i) for i in range(1, A.rank + 1)]
+    # [e_k, e_i]^i = -[e_i, e_k]^i and [e_i, e_i] = 0: one bracket per pair i < k
+    for i, k in combinations(range(A.rank), 2):
+        b = bracket_sections(A, frame[i], frame[k])
+        coeffs[i], coeffs[k] = coeffs[i] + b[k], coeffs[k] - b[i]
+    if g is not None:
+        coeffs = [f + A.anchor_action(e_i, g) / g for f, e_i in zip(coeffs, frame)]
     return Cocycle1(A, _components_to_form(A, coeffs))
 
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import comb
 
 from algebroids.algebroid import SkewAlgebroid
-from algebroids.linalg import matrix_rank, solve_linear
 from algebroids.scalar import _MAX_EXPONENT, _MAX_NESTING, _MAX_TERMS, ParseError, ScalarField
 from algebroids.superalg import SuperPoly
 
@@ -322,6 +321,49 @@ def pairing_oracle(P, alpha, beta) -> ScalarField:
     return out
 
 
+# Gaussian elimination with row swaps, written out here so that the oracles
+# share no code with the library's elimination kernel.
+
+
+def _echelon(rows: list, width: int) -> tuple:
+    """(echelon rows, rank) of a copy of ``rows`` over its first ``width``
+    columns: each column pivots on its first nonzero entry at or below the
+    current row, swapped up into place, and clears the entries below it."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][col].is_zero:
+                factor = rows[r][col] / head[col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], head)]
+        rank += 1
+    return rows, rank
+
+
+def _rank(rows: list) -> int:
+    return _echelon(rows, len(rows[0]) if rows else 0)[1]
+
+
+def _solve(rows: list, rhs: list) -> list:
+    """The solution of a square invertible system: echelon form, then back
+    substitution from the last pivot up."""
+    n = len(rows)
+    aug, rank = _echelon([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    assert rank == n, "singular system"
+    x = [None] * n
+    for i in reversed(range(n)):
+        v = aug[i][n]
+        for j in range(i + 1, n):
+            v = v - aug[i][j] * x[j]
+        x[i] = v / aug[i][i]
+    return x
+
+
 # Frame changes and induced structures with one linear solve per bracket,
 # the way they were computed before each frame was reduced once.
 
@@ -330,14 +372,14 @@ def conjugate_frame_oracle(A: SkewAlgebroid, G) -> SkewAlgebroid | None:
     """A in the frame e'_i = sum_j G_i^j e_j, or None for a singular G:
     c'_{ij} solves t G = [e'_i, e'_j] pair by pair, and rho'_i = sum_l G_i^l rho_l."""
     n = A.rank
-    if matrix_rank(G) < n:
+    if _rank(G) < n:
         return None
     zero = ScalarField.zero(A.chart)
     transposed = [[G[k][l] for k in range(n)] for l in range(n)]
     c = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            t = solve_linear(transposed, list(bracket_sections_oracle(A, G[i - 1], G[j - 1])), zero)
+            t = _solve(transposed, list(bracket_sections_oracle(A, G[i - 1], G[j - 1])))
             c.update(((i, j, k), t[k - 1]) for k in range(1, n + 1))
     rho = {
         (i, a): sum((G[i - 1][l - 1] * rho_at(A, l, a) for l in range(1, n + 1)), zero)
@@ -362,7 +404,7 @@ def induced_algebroid_oracle(D, H):
     columns = [[D.matrix[a][g] for a in range(n)] for g in range(2 * n)]
     rows = []
     for g in range(2 * n):
-        if matrix_rank([columns[h] for h in rows + [g]]) > len(rows):
+        if _rank([columns[h] for h in rows + [g]]) > len(rows):
             rows.append(g)
     inner = [poisson_bracket_oracle(s, H.value, space) for s in D.sections]
     c = {}
@@ -370,7 +412,7 @@ def induced_algebroid_oracle(D, H):
         for b in range(a + 1, n + 1):
             bracket = poisson_bracket_oracle(inner[a - 1], D.sections[b - 1], space)
             rhs = [bracket.terms.get(((g,), zeros), zero) for g in rows]
-            t = solve_linear([columns[g] for g in rows], rhs, zero)
+            t = _solve([columns[g] for g in rows], rhs)
             residual = bracket
             for tk, section in zip(t, D.sections):
                 residual = residual - SuperPoly.from_scalar(table, tk) * section

@@ -43,7 +43,7 @@ from genlib import (
     rand_poly,
     rand_super_homogeneous,
 )
-from oracles import bivector_at
+from oracles import bivector_at, poisson_bracket_oracle
 
 CH1 = BaseChart(("x1",))
 CH2 = BaseChart(("x1", "x2"))
@@ -524,3 +524,76 @@ def test_bivector_value_built_once(monkeypatch):
     assert P.value is P.value
     assert P.value == sp(SP4, "xi1*xi2 + (1 + x1)*xi3*xi4")
     assert (-P).value == -P.value
+
+
+def _oracle_gauge_series(P, F) -> list:
+    """The terms (1/k!) ad_P^k F of exp(ad_P) F, up to the first zero one,
+    each bracket taken by the oracle."""
+    terms = [F]
+    while not terms[-1].is_zero:
+        terms.append(poisson_bracket_oracle(P.value, terms[-1], P.space) * Fraction(1, len(terms)))
+    return terms
+
+
+def test_twist_parts_match_oracle_series():
+    """The obstruction is the y = p = 0 part of exp(ad_P) H, and the twisted
+    generator is {P, mu} + 1/2 {P, {P, phi}}, both from oracle brackets, on
+    the frozen tm2 and book cases and on seeded rank 3-4 pairs."""
+    heis = SkewAlgebroid(CH2, 3, {(1, 2, 3): 1}, {})
+    cases = [(TM2, Bivector(SP2, {(1, 2): x(CH2, "x1")})), (TM4, book_bivector())]
+    rng = random.Random(714)
+    for _ in range(6):
+        A = rng.choice([TM3, heis, SO3, TM4, TM4])
+        cases.append((A, rand_bivector(rng, split_space(A.chart, A.rank))))
+    twisted = 0
+    for A, P in cases:
+        space = P.space
+        n = space.split_rank
+        mu = mu_ham(A, space).value
+        phi = solve_twist(P, A)
+        cubics = [SuperPoly.zero(space.table)]
+        if phi is not None and not phi.is_zero:
+            cubics.append(phi)
+        for cubic in cubics:
+            H = Hamiltonian(space, mu + cubic)
+            flow = sum(_oracle_gauge_series(P, H.value)[1:], H.value)
+            pure_xi = {
+                key: f for key, f in flow.terms.items() if min(key[0], default=n) >= n and not any(key[1])
+            }
+            ok, obstruction = quasi_poisson_check(P, H)
+            assert obstruction == SuperPoly(space.table, pure_xi)
+            if ok:
+                inner = poisson_bracket_oracle(P.value, cubic, space)
+                expected = poisson_bracket_oracle(P.value, mu, space) + poisson_bracket_oracle(
+                    P.value, inner, space
+                ) * Fraction(1, 2)
+                assert twisted_hamiltonian(P, H).value == expected
+                twisted += not cubic.is_zero
+    assert twisted >= 2
+
+
+def test_twist_and_anchor_take_no_extra_brackets(monkeypatch):
+    """induced_algebroid brackets each member with H once and each pair of
+    members once, reading the anchor off {D_a, H}; a first quasi_poisson_check
+    on a fresh pair brackets only along the gauge series of H, whose bidegree
+    parts give the twisted generator."""
+    instances = quasi_poisson_instances(random.Random(715))
+    lengths = [len(_oracle_gauge_series(P, H.value)) - 1 for _, P, H in instances]
+    frames = [graph_frame(P) for _, P, _ in instances]
+    calls = []
+    bracket = dirac.poisson_bracket
+
+    def counting(F, G, space):
+        calls.append(F)
+        return bracket(F, G, space)
+
+    monkeypatch.setattr(dirac, "poisson_bracket", counting)
+    for (A, P, H), D, length in zip(instances, frames, lengths):
+        n = A.rank
+        calls.clear()
+        induced_algebroid(D, H)
+        assert len(calls) == n + n * (n - 1) // 2
+        calls.clear()
+        assert quasi_poisson_check(P, Hamiltonian(H.space, H.value))[0]
+        assert len(calls) == length
+        assert all(F is P.value for F in calls)
