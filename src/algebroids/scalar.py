@@ -23,8 +23,22 @@ multiply, so products and powers of canonical factors need no
 normalisation; sums and derivatives fold the integer content of the result
 into ``k``. The canonical form of a rational function is unique, so any
 route that reaches a canonical triple gives the same bytes as the full
-reduction. Arithmetic therefore runs a gcd only where coprimality is not
-already known:
+reduction.
+
+Beside ``D`` a value carries a factor base of it: pairwise distinct
+*certified* factors with multiplicities, and a rest, coprime to each of
+them, for what no factor certifies. A primitive factor is certified when
+some coordinate occurs in exactly one of its terms, as ``c*x_v``; that is
+a look at exponent tuples, and it makes the factor irreducible (see
+``_certified``), so every shift ``d + x_w`` passes and ``2*x2^2 - 3`` does
+not. Two certified factors are equal or coprime, so ``gcd(a, f**e)`` for a
+certified ``f`` is ``f**j`` for the largest ``j <= e`` that trial division
+(``_zdiv``, after a comparison of values at one integer point) finds. A
+rest meets a certified factor of another base by the same trial division,
+which moves the factor out of it; it meets a numerator or another rest
+through ``_pgcd``, unless the other side is certified, when the gcd is
+that side or 1. Polynomials have the empty base. Arithmetic therefore runs
+a gcd only where a rest is involved and coprimality is not already known:
 
 - ``_pgcd`` returns the primitive gcd with both cofactors, so no division
   follows it. A constant operand gives 1, a single-term operand the
@@ -38,18 +52,25 @@ already known:
   each evaluation from the point and the degree of every variable, or six
   points fail, the primitive PRS (Brown, 1971) answers instead.
 - A constant denominator is only scaled; its gcd with anything is 1.
-- ``partial`` of ``a/b`` takes ``g = gcd(b, b')`` with ``b = g*h`` and
-  ``b' = g*e``: the quotient rule gives ``(a'*h - a*e) / (b*h)``, where
-  again only a factor of ``g`` can cancel, in place of a gcd against
-  ``b**2``. With a constant denominator it differentiates the numerator.
+- Products cancel ``gcd(a, d)`` and ``gcd(c, b)`` across first, by trial
+  division against the factors of the other denominator; what is left is
+  canonical as it stands, and the two bases merge, multiplicities adding.
 - Sums use Henrici's method (Knuth, TAOCP vol. 2, section 4.5.1): with
   ``g = gcd(b, d)``, ``a/b + c/d`` is ``t / (b*(d/g))`` for
   ``t = a*(d/g) + c*(b/g)``, and only ``gcd(t, g)`` can be left to cancel.
-  Equal denominators are never squared, and coprime ones need no further gcd.
-- Products cancel ``gcd(a, d)`` and ``gcd(c, b)`` across first; what is
-  left is canonical as it stands.
+  ``g`` is the shared certified factors at the lesser multiplicity times
+  the gcd of the rests, and ``gcd(t, g)`` is a trial division by those
+  factors. Equal denominators are never squared, and coprime ones need no
+  further gcd.
+- ``partial`` of ``a/b``, with ``b`` the product of the ``f**e`` and the
+  rest ``u``, takes ``g = gcd(u, u')`` with ``u = g*h`` and ``u' = g*s``.
+  For ``R`` the product of ``h`` and the factors involving ``x_v``, and
+  ``S/R = s/h +`` the sum of ``e*f'/f``, the quotient rule gives
+  ``(a'*R - a*S) / (b*R)``. No factor of ``R`` can cancel: only factors
+  free of ``x_v``, by trial division, and ``gcd(t, g)``. With a constant
+  denominator it differentiates the numerator.
 - Powers of a coprime pair stay coprime, so ``**`` raises numerator and
-  denominator separately.
+  denominator separately, and multiplies the multiplicities.
 
 The expression parser needs none of this: input has no quotients, so it
 folds plain polynomial dicts with rational coefficients, in one token pass,
@@ -63,7 +84,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add, sub
 from typing import Callable
 
@@ -366,14 +387,173 @@ def _pgcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
     return g, ca, cb
 
 
+# A denominator is held as a factor base: a tuple of (f, e) pairs, each f a
+# certified factor (see _certified) with multiplicity e, the factors pairwise
+# distinct, and a rest u, primitive and coprime to every f, or None for 1.
+# The denominator is the product of the f**e and u. Constants have the empty
+# base ((), None).
+
+
+@cache
+def _units(m: int) -> tuple:
+    """The exponent tuples of x_1, ..., x_m."""
+    return tuple(tuple(int(i == v) for i in range(m)) for v in range(m))
+
+
+def _certified(p: dict) -> bool:
+    """True when some coordinate occurs in exactly one term of p, as c*x_v
+    with c an integer. For a primitive p, that makes p irreducible: p is
+    c*x_v + q with q free of x_v, a factor free of x_v would divide both c
+    and q, and a primitive p has no such factor but 1."""
+    for v, e in enumerate(_units(len(next(iter(p))))):
+        if e in p and sum(1 for m in p if m[v]) == 1:
+            return True
+    return False
+
+
+def _settle(fs: tuple, u: dict | None) -> tuple:
+    """The base (fs, u) with a constant u dropped, and a certified u moved
+    into the factors. The factor base of a primitive p is _settle((), p).
+    Each operation settles the base of its result once it is whole, so no
+    rest is ever certified; settling a rest while other rests are still to
+    be multiplied in could leave a factor in two places."""
+    if u is None or _is_const(u):
+        return fs, None
+    if _certified(u):
+        return (*fs, (u, 1)), None
+    return fs, u
+
+
+def _rest(*ps) -> dict | None:
+    """The product of the rests ps, None for 1."""
+    u = None
+    for p in ps:
+        if p is not None and not _is_const(p):
+            u = p if u is None else _pmul(u, p)
+    return u
+
+
+def _expand(one: tuple, fs: tuple, u: dict | None) -> dict:
+    """The denominator that a factor base stands for."""
+    p = u or {one: 1}
+    for f, e in fs:
+        for _ in range(e):
+            p = _pmul(p, f)
+    return p
+
+
+def _mult(fs: tuple, f: dict) -> int:
+    """The multiplicity of f among the factors fs, 0 if it is not one."""
+    return next((e for g, e in fs if g == f), 0)
+
+
+# Trial division first compares values at this point, with x_v set to
+# 2**20 + v: f divides a only if f's value divides a's.
+_POINT = tuple(2**20 + v for v in range(64))
+
+
+def _value(p: dict) -> int:
+    # a chart longer than _POINT leaves its last coordinates at 1
+    return sum(c * prod(map(pow, _POINT, m)) for m, c in p.items())
+
+
+def _strip(a: dict, av: int, f: dict, e: int) -> tuple[dict, int, int]:
+    """(a/f**j, its value, j) for the largest j <= e with f**j dividing a,
+    given the value av of a."""
+    fv, j = _value(f), 0
+    while j < e and (fv == 0 or av % fv == 0) and (q := _zdiv(a, f)) is not None:
+        a, j = q, j + 1
+        av = fv and av // fv
+    return a, av, j
+
+
+def _rest_gcd(a: dict, u: dict) -> tuple:
+    """_pgcd(a, u) for a nonzero a and a rest u. When the primitive part p
+    of a = c*p is certified, p is irreducible, so the gcd is p or 1, and a
+    trial division tells which."""
+    c = gcd(*a.values())
+    p = a if c == 1 else {m: v // c for m, v in a.items()}
+    if not _certified(p):
+        return _pgcd(a, u)
+    one = (0,) * len(next(iter(a)))
+    if (q := _zdiv(u, p)) is None:
+        return {one: 1}, a, u
+    if p[_plead(p)] < 0:
+        c, p, q = -c, {m: -v for m, v in p.items()}, {m: -v for m, v in q.items()}
+    return p, {one: c}, q
+
+
+def _cancel(a: dict, fs: tuple, u: dict | None) -> tuple:
+    """(a/h, fs', u', changed) for h = gcd(a, D), with (fs', u') the base
+    of D/h for the denominator D with base (fs, u). Certified factors are
+    irreducible, so their part of h is found by trial division; only the
+    rest's part may take a gcd."""
+    if not fs and u is None:
+        return a, fs, u, False
+    kept, changed, av = [], False, fs and _value(a)
+    for f, e in fs:
+        a, av, j = _strip(a, av, f, e)
+        if j < e:
+            kept.append((f, e - j))
+        changed = changed or j > 0
+    if u is not None:
+        g, a, u = _rest_gcd(a, u)
+        if not _is_const(g):
+            changed = True
+            u = None if _is_const(u) else u
+    return a, tuple(kept) if changed else fs, u, changed
+
+
+def _split(fs: tuple, u: dict | None, other: tuple) -> tuple:
+    """(fs', u') with the rest u split by each factor of the base ``other``
+    that fs lacks: each such factor that divides u moves, with its
+    multiplicity, from u to fs'. Afterwards every factor of both bases is
+    coprime to u'."""
+    if u is None or not other:
+        return fs, u
+    out, uv = list(fs), _value(u)
+    for f, _ in other:
+        if any(f == g for g, _ in fs):
+            continue
+        u, uv, j = _strip(u, uv, f, max(map(sum, u)))
+        if j:
+            out.append((f, j))
+    if len(out) == len(fs):
+        return fs, u
+    return tuple(out), None if _is_const(u) else u
+
+
+def _join(af: tuple, au: dict | None, bf: tuple, bu: dict | None) -> tuple:
+    """The factor base of the product of two denominators, given theirs."""
+    if not bf and bu is None:
+        return af, au
+    if not af and au is None:
+        return bf, bu
+    af, au = _split(af, au, bf)
+    bf, bu = _split(bf, bu, af)
+    return _merge(af, bf), _rest(au, bu)
+
+
+def _merge(*bases: tuple) -> tuple:
+    """The certified factors of a product of denominators, given those of
+    each: multiplicities of equal factors add, and spent factors drop."""
+    out: dict = {}
+    for fs in bases:
+        for f, e in fs:
+            key = frozenset(f.items())
+            out[key] = (f, out.get(key, (f, 0))[1] + e)
+    return tuple((f, e) for f, e in out.values() if e)
+
+
 class ScalarField:
     """One exact rational function; immutable, canonical on construction."""
 
-    __slots__ = ("chart", "_k", "_n", "_d")
+    __slots__ = ("chart", "_k", "_n", "_d", "_f", "_u")
 
     def __init__(self, chart: BaseChart, num: dict, den: dict | None = None):
         """num and den map exponent tuples to ints or Fractions; zeros are dropped."""
         one = (0,) * chart.m
+        fs, u = (), None
         if 0 in num.values():
             num = {m: c for m, c in num.items() if c}
         if den is not None:
@@ -389,21 +569,30 @@ class ScalarField:
                 den = {one: 1}
             else:
                 kd, den = _zsplit(den)
-                _, num, den = _pgcd(num, den)
+                fs, u = _settle((), den)
+                num, fs, u, cut = _cancel(num, fs, u)
+                if cut:
+                    fs, u = _settle(fs, u)
+                    den = _expand(one, fs, u)
                 k = _rat(k.numerator * kd.denominator, k.denominator * kd.numerator)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_n", num)
-        object.__setattr__(self, "_d", den)
+        _set_chart(self, chart)
+        _set_k(self, k)
+        _set_n(self, num)
+        _set_d(self, den)
+        _set_f(self, fs)
+        _set_u(self, u)
 
     @staticmethod
-    def _canonical(chart: BaseChart, k, num: dict, den: dict) -> "ScalarField":
-        """Wrap a triple already in canonical form, without checking it."""
+    def _canonical(chart: BaseChart, k, num: dict, den: dict, fs: tuple = (), u: dict | None = None) -> "ScalarField":
+        """Wrap a triple already in canonical form, and the factor base
+        (fs, u) of its denominator, without checking them."""
         f = ScalarField.__new__(ScalarField)
-        object.__setattr__(f, "chart", chart)
-        object.__setattr__(f, "_k", k)
-        object.__setattr__(f, "_n", num)
-        object.__setattr__(f, "_d", den)
+        _set_chart(f, chart)
+        _set_k(f, k)
+        _set_n(f, num)
+        _set_d(f, den)
+        _set_f(f, fs)
+        _set_u(f, u)
         return f
 
     def __setattr__(self, name, value):
@@ -475,69 +664,99 @@ class ScalarField:
             return ScalarField.const(self.chart, other)
         return None
 
-    def _plus(self, k, c: dict, d: dict) -> "ScalarField":
-        """self + k*c/d for a canonical triple, by Henrici's method."""
-        a, b = self._n, self._d
+    def _plus(self, k, o: "ScalarField") -> "ScalarField":
+        """self + k*c/d for the canonical triple (_, c, d) of o, by
+        Henrici's method over the two factor bases."""
+        a, b, c, d = self._n, self._d, o._n, o._d
         if not c:
             return self
         if not a:
-            return ScalarField._canonical(self.chart, k, c, d)
+            return ScalarField._canonical(self.chart, k, c, d, o._f, o._u)
         # self._k*a + k*c = (n/l)*(u*a + w*c) with integers n, l, u, w
         (n1, d1), (n2, d2) = (self._k.numerator, self._k.denominator), (k.numerator, k.denominator)
         n, l = gcd(n1, n2), lcm(d1, d2)
         u, w = n1 // n * (l // d1), n2 // n * (l // d2)
+        one = (0,) * self.chart.m
         if b == d:
-            g, t, den = b, _plin(u, a, w, c), b
-        else:
-            g, bg, dg = _pgcd(b, d)
-            t = _plin(u, _pmul(a, dg), w, _pmul(c, bg))
-            den = _pmul(b, dg)
+            t = _plin(u, a, w, c)
+            if not t:
+                return ScalarField.zero(self.chart)
+            ct, t = _zprim(t)
+            # a, c are coprime to b, so t can share a factor with b only
+            t, fs, r, cut = _cancel(t, self._f, self._u)
+            if cut:
+                fs, r = _settle(fs, r)
+            den = _expand(one, fs, r) if cut else b
+            return ScalarField._canonical(self.chart, _rat(n * ct, l), t, den, fs, r)
+        bf, bu = _split(self._f, self._u, o._f)
+        df, du = _split(o._f, o._u, bf)
+        # g = gcd(b, d): the shared factors at the lesser multiplicity, and
+        # the gcd of the rests
+        gf = tuple((f, min(e, ed)) for f, e in bf if (ed := _mult(df, f)))
+        gu = None
+        if bu is not None and du is not None:
+            gu, bu, du = _pgcd(bu, du)
+            gu = None if _is_const(gu) else gu
+        bg, dg = b, d
+        if gf or gu is not None:
+            bf, df = (tuple((f, e - _mult(gf, f)) for f, e in fs) for fs in (bf, df))
+            bg, dg = _expand(one, bf, bu), _expand(one, df, du)
+        t = _plin(u, _pmul(a, dg), w, _pmul(c, bg))
         if not t:
             return ScalarField.zero(self.chart)
         ct, t = _zprim(t)
-        # a, c are coprime to b, d, so t can share a factor with g only
-        q, t, _ = _pgcd(t, g)
-        den = den if _is_const(q) else _zdiv(den, q)
-        return ScalarField._canonical(self.chart, _rat(n * ct, l), t, den)
+        # a, c are coprime to b, d, so t can share a factor with g only; the
+        # sum is t/q over (b/g)*(d/g)*(g/q) for q = gcd(t, g)
+        t, gf, gu, cut = _cancel(t, gf, gu)
+        fs, r = _settle(_merge(bf, df, gf), _rest(bu, du, gu))
+        den = _expand(one, fs, r) if cut or not fs else _pmul(b, dg)
+        return ScalarField._canonical(self.chart, _rat(n * ct, l), t, den, fs, r)
 
-    def _times(self, k, c: dict, d: dict) -> "ScalarField":
+    def _times(self, k, c: dict, d: dict, df: tuple, du: dict | None) -> "ScalarField":
         """self * k*c/d for coprime primitive c, d with positive leading
-        coefficients."""
+        coefficients, and (df, du) the factor base of d."""
         a, b = self._n, self._d
         if not a or not c:
             return ScalarField.zero(self.chart)
-        _, a, d = _pgcd(a, d)
-        _, c, b = _pgcd(c, b)
-        return ScalarField._canonical(self.chart, self._k * k, _pmul(a, c), _pmul(b, d))
+        one = (0,) * self.chart.m
+        a, df, du, cut = _cancel(a, df, du)
+        if cut:
+            d = _expand(one, df, du)
+        c, bf, bu, cut = _cancel(c, self._f, self._u)
+        if cut:
+            b = _expand(one, bf, bu)
+        fs, u = _settle(*_join(bf, bu, df, du))
+        den = _pmul(b, d) if fs or u is None else u
+        return ScalarField._canonical(self.chart, self._k * k, _pmul(a, c), den, fs, u)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(o._k, o._n, o._d)
+        return self._plus(o._k, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField._canonical(self.chart, -self._k, self._n, self._d)
+        return ScalarField._canonical(self.chart, -self._k, self._n, self._d, self._f, self._u)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(-o._k, o._n, o._d)
+        return self._plus(-o._k, o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._plus(-self._k, self._n, self._d)
+        return o._plus(-self._k, self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._times(o._k, o._n, o._d)
+        return self._times(o._k, o._n, o._d, o._f, o._u)
 
     __rmul__ = __mul__
 
@@ -547,7 +766,7 @@ class ScalarField:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return self._times(_rat(o._k.denominator, o._k.numerator), o._d, o._n)
+        return self._times(_rat(o._k.denominator, o._k.numerator), o._d, o._n, *_settle((), o._n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -562,12 +781,16 @@ class ScalarField:
             return ScalarField.one(self.chart) / self ** (-k)
         one = {(0,) * self.chart.m: 1}
         num = den = one
+        fs, u = (), None
         for _ in range(k):
             num = _pmul(num, self._n)
-        if num and not _is_const(self._d):
+        if k and not _is_const(self._d):
             for _ in range(k):
                 den = _pmul(den, self._d)
-        return ScalarField._canonical(self.chart, self._k**k, num, den)
+            fs = tuple((f, e * k) for f, e in self._f)
+            if self._u is not None:
+                u = reduce(_pmul, [self._u] * k)
+        return ScalarField._canonical(self.chart, self._k**k, num, den, fs, u)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -613,17 +836,36 @@ class ScalarField:
                 return ScalarField.zero(self.chart)
             ct, t = _zprim(t)
             return ScalarField._canonical(self.chart, k * ct, t, b)
-        # With g = gcd(b, b'), b = g*h and b' = g*e for coprime h, e, the
-        # quotient rule gives t/(b*h) with t = a'*h - a*e. As a and e are
-        # coprime to h, only gcd(t, g) can be left to cancel.
-        g, h, e = _pgcd(b, d(b))
-        t = _plin(1, _pmul(d(a), h), -1, _pmul(a, e))
+        # b is the product of the f**e and the rest u. With u = g*h and
+        # u' = g*s for g = gcd(u, u'), b'/b = s/h + the sum of e*f'/f, which
+        # is S/R for R = h times the product of the factors f involving x_v.
+        # The quotient rule gives t/(b*R) with t = a'*R - a*S. A factor f
+        # involving x_v does not divide t, as it divides neither a nor e*f'
+        # nor the other factors; nor does a factor of h. Only the factors
+        # free of x_v, and gcd(t, g), can be left to cancel.
+        one = (0,) * self.chart.m
+        g = h = None
+        r, s = {one: 1}, {}
+        if (u := self._u) is not None:
+            g, s, h = _rest_gcd(du, u) if (du := d(u)) else (u, s, r)
+            g, r = None if _is_const(g) else g, h
+        fs, free = [], []
+        for f, e in self._f:
+            if df := d(f):
+                s = _plin(1, _pmul(s, f), e, _pmul(df, r))
+                r = _pmul(r, f)
+                fs.append((f, e + 1))
+            else:
+                free.append((f, e))
+        t = _plin(1, _pmul(d(a), r), -1, _pmul(a, s))
         if not t:
             return ScalarField.zero(self.chart)
         ct, t = _zprim(t)
-        q, t, _ = _pgcd(t, g)
-        den = _pmul(b, h) if _is_const(q) else _zdiv(_pmul(b, h), q)
-        return ScalarField._canonical(self.chart, k * ct, t, den)
+        # the rest u*h = h*h*g, over q = gcd(t, g)
+        t, free, g, cut = _cancel(t, tuple(free), g)
+        fs, u = _settle((*fs, *free), _rest(h, h, g))
+        den = _expand(one, fs, u) if cut or not fs else _pmul(b, r)
+        return ScalarField._canonical(self.chart, k * ct, t, den, fs, u)
 
     # printing
 
@@ -658,6 +900,13 @@ class ScalarField:
 
     def __repr__(self):
         return f"<ScalarField {self}>"
+
+
+# The slots' own setters: they bypass ScalarField.__setattr__, which refuses
+# every write, and cost less than object.__setattr__.
+_set_chart, _set_k, _set_n, _set_d, _set_f, _set_u = (
+    ScalarField.__dict__[name].__set__ for name in ScalarField.__slots__
+)
 
 
 # expression parser, shared by the scalar and super layers

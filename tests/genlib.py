@@ -39,20 +39,38 @@ def dense_rational_skew(rng, chart: BaseChart, n: int) -> SkewAlgebroid:
     """Every c_ij^k (i < j) and rho_i^a nonzero, each (a + b*x_v)/(d + x_w)
     with nonzero a, b, d in -3..3 and 5..7 and w != v, so that sums need
     gcds in several coordinates."""
+    return _rational_skew(rng, chart, n, 1)
+
+
+def sparse_rational_skew(rng, chart: BaseChart, n: int, every: int = 3) -> SkewAlgebroid:
+    """Every ``every``-th c_ij^k (i < j) and rho_i^a nonzero, in the same
+    order and of the same form as in dense_rational_skew: the shape of the
+    benchmark's srat_r3 and srat_r4 jobs."""
+    return _rational_skew(rng, chart, n, every)
+
+
+def _rational_skew(rng, chart: BaseChart, n: int, every: int) -> SkewAlgebroid:
     m = chart.m
     x = [ScalarField.coord(chart, name) for name in chart.names]
     slot = 0
 
     def entry(v):
-        nonlocal slot
-        slot += 1
         w = (v + 1 + slot % (m - 1)) % m
         a, b = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2))
         return (a + b * x[v]) / (5 + slot % 3 + x[w])
 
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    c = {(i, j, k): entry((i + j + k) % m) for i, j in pairs for k in range(1, n + 1)}
-    rho = {(i, a): entry((i + a) % m) for i in range(1, n + 1) for a in range(1, m + 1)}
+    c, rho = {}, {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, n + 1):
+                slot += 1
+                if slot % every == 0:
+                    c[(i, j, k)] = entry((i + j + k) % m)
+    for i in range(1, n + 1):
+        for a in range(1, m + 1):
+            slot += 1
+            if slot % every == 0:
+                rho[(i, a)] = entry((i + a) % m)
     return SkewAlgebroid(chart, n, c, rho)
 
 

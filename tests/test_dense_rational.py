@@ -5,7 +5,8 @@ coordinates, sums and products need multivariate gcds of dozens of terms;
 the PRS gave no answer within minutes on either case below. Each answer is
 checked by a route that shares no gcd code with the library: sympy's gcd
 shows every coefficient in lowest terms, and the wedge-Leibniz oracle gives
-the Jacobi verdict.
+the Jacobi verdict. Sparse inputs of the same form, whose denominators are
+all products of shifts d + x_w, now need no gcd at all.
 """
 
 import random
@@ -13,12 +14,14 @@ from time import perf_counter
 
 import sympy
 
+from algebroids import scalar
 from algebroids.algebroid import SkewAlgebroid, is_lie
 from algebroids.courant import Hamiltonian, algebroid_hamiltonian, hamiltonian_square, split_space
 from algebroids.dirac import Bivector, solve_twist
+from algebroids.modular import characteristic_form, modular_cocycle
 from algebroids.scalar import BaseChart, ScalarField
 
-from genlib import dense_rational_skew
+from genlib import dense_rational_skew, sparse_rational_skew
 from oracles import is_lie_oracle
 
 # Both cases answer in well under a second here; this only catches a
@@ -71,3 +74,32 @@ def test_dense_bivector_rank4_solve_twist():
     for coefficient in phi.terms.values():
         assert_canonical(coefficient)
     assert hamiltonian_square(Hamiltonian(space, algebroid_hamiltonian(A, space).value + phi)).is_zero
+
+
+def test_shifted_denominators_take_no_gcd(monkeypatch):
+    """Every denominator of a sparse rational algebroid is a product of
+    shifts d + x_w, each certified irreducible, so the entry points cancel
+    by trial division alone: none of them reaches the heuristic gcd, let
+    alone the PRS. One 2*x2^2 - 3 denominator, which no coordinate
+    certifies, sends them back to the heuristic gcd."""
+    heu_calls, prs_calls = [], []
+    heu, prs = scalar._heu, scalar._prs
+    monkeypatch.setattr(scalar, "_heu", lambda *args: heu_calls.append(args) or heu(*args))
+    monkeypatch.setattr(scalar, "_prs", lambda *args: prs_calls.append(args) or prs(*args))
+    chart = BaseChart(("x1", "x2", "x3"))
+
+    def entry_points(A):
+        is_lie(A)
+        modular_cocycle(A)
+        characteristic_form(A)
+        hamiltonian_square(algebroid_hamiltonian(A))
+
+    algebroids = [sparse_rational_skew(random.Random(seed), chart, n) for seed, n in ((1, 3), (2, 3), (3, 4))]
+    for A in algebroids:
+        entry_points(A)
+    assert heu_calls == [] and prs_calls == []
+    A = algebroids[0]
+    key = min(A.c)
+    x1, x2 = ScalarField.coord(chart, "x1"), ScalarField.coord(chart, "x2")
+    entry_points(SkewAlgebroid(chart, A.rank, {**A.c, key: (1 + x1) / (2 * x2 * x2 - 3)}, A.rho))
+    assert heu_calls

@@ -198,9 +198,9 @@ def test_polynomial_arithmetic_runs_no_prs(monkeypatch):
         assert (3 * f) / 3 == f
     assert (1 - s("x1") ** 2) / 2 == s("1/2 - 1/2*x1^2")
     assert heu_calls == []
-    # the counter is live: a real denominator does reach the heuristic gcd,
-    # which answers it without the PRS fallback
-    s("x1 + x2") / s("x1 - x2")
+    # the counter is live: an uncertified denominator does reach the
+    # heuristic gcd, which answers it without the PRS fallback
+    s("x1*x2 + 1") / s("x1^2 + x2^2 + 1")
     assert heu_calls
     assert prem_calls == []
 

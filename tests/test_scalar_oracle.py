@@ -11,7 +11,9 @@ also scaled by a drawn rational such as 3/7, so the rational content that
 the kernel keeps beside its integer polynomials is not just an integer. The
 gcd kernel, which works on integer polynomials, is checked on its own
 against sympy's ``cofactors``, on bigger polynomials, and with the heuristic
-switched off so that its PRS fallback answers.
+switched off so that its PRS fallback answers. The factor base each value
+keeps of its denominator is checked against sympy's factorization after
+every operation on denominators built from shared linear factors.
 """
 
 import random
@@ -248,3 +250,147 @@ def test_sparse_high_degree_goes_to_the_prs(monkeypatch):
             assert perf_counter() - start < 0.1
             assert_triple(chart, x, y, triple)
             assert calls
+
+
+# Denominators over a factor base: powers of three linear forms, each
+# certified irreducible by a coordinate it holds in one term of the form
+# c*x_v, and factors that no coordinate certifies, given expanded. Two of
+# those share a linear factor with the pool, so they must split the base.
+CH3 = BaseChart(("x1", "x2", "x3"))
+LINEAR = (
+    {(1, 0, 0): 1, (0, 0, 0): 5},
+    {(0, 1, 0): 1, (0, 0, 0): 6},
+    {(1, 0, 0): 1, (0, 0, 0): -1},
+    {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 2},
+    {(0, 0, 1): 3, (1, 0, 0): 2, (0, 0, 0): -1},
+)
+UNCERTIFIED = (
+    {(2, 0, 0): 1, (0, 0, 0): -1},
+    pmul(LINEAR[0], LINEAR[1]),
+    {(0, 2, 0): 2, (0, 0, 0): -3},
+)
+SHARING = ("equal", "overlapping", "disjoint", "cancelling")
+ONE3 = {(0, 0, 0): 1}
+
+
+def power_product(forms, exponents):
+    out = ONE3
+    for form, e in zip(forms, exponents):
+        for _ in range(e):
+            out = pmul(out, form)
+    return out
+
+
+@st.composite
+def factored_operands(draw):
+    """(forms, (num, (exponents, extra)), (num, (exponents, extra)),
+    built): each denominator the product of the three drawn forms to the
+    exponents, related to the other's as drawn, times an optional
+    uncertified factor, extra; built says for each operand whether the
+    library sees the denominator expanded, or builds the value by dividing
+    by one factor at a time."""
+    forms = draw(st.permutations(LINEAR))[:3]
+    sharing = draw(st.sampled_from(SHARING))
+    # squares of the first form only, to keep sympy's side small
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+    e1 = draw(exponents)
+    if sharing == "equal":
+        e2 = e1
+    elif sharing == "disjoint":
+        e2 = tuple(0 if e else 1 for e in e1)
+    else:
+        e2 = draw(exponents)
+    if sharing in ("overlapping", "cancelling"):
+        # both hold the first form
+        e1, e2 = (max(e1[0], 1), *e1[1:]), (max(e2[0], 1), *e2[1:])
+    extra1, extra2 = (draw(st.sampled_from((None, *UNCERTIFIED))) for _ in range(2))
+    n1, n2 = draw(polynomials(3, nonzero=True)), draw(polynomials(3))
+    if sharing == "cancelling":
+        # with denominators L*p*X and L*q*X for the first form L and one
+        # extra factor X, the sum is s/(q*X): L cancels
+        extra2 = extra1
+        p = power_product(forms, (e1[0] - 1, *e1[1:]))
+        q = power_product(forms, (e2[0] - 1, *e2[1:]))
+        s = draw(polynomials(3, 2, nonzero=True))
+        n1, n2 = pmul(p, n1), psub(pmul(forms[0], s), pmul(q, n1))
+    n1, n2 = (scale(draw(contents), p) for p in (n1, n2))
+    built = draw(st.tuples(st.booleans(), st.booleans()))
+    return forms, (n1, (e1, extra1)), (n2, (e2, extra2)), built
+
+
+def build(forms, num, den, factored):
+    """ScalarField and sympy value of num over the product of the forms to
+    the powers and the extra factor in den."""
+    exponents, extra = den
+    expanded = power_product(forms, exponents)
+    if extra is not None:
+        expanded = pmul(expanded, extra)
+    expected = to_field(CH3, num, expanded)
+    if not factored:
+        return ScalarField(CH3, num, expanded), expected
+    value = ScalarField(CH3, num)
+    for form, e in zip(forms, exponents):
+        value = value * ScalarField(CH3, ONE3, form) ** e
+    if extra is not None:
+        value = value / ScalarField(CH3, extra)
+    return value, expected
+
+
+def assert_base(f):
+    """The factor base of f's denominator: factors with multiplicities that
+    multiply out to it, the certified ones irreducible and pairwise
+    distinct, the rest coprime to each of them and certified by none."""
+    ring = FIELDS[3][0].ring
+    fs, rest = f._f, f._u
+    product = ONE3 if rest is None else rest
+    for p, e in fs:
+        assert e >= 1
+        for _ in range(e):
+            product = pmul(product, p)
+    assert product == f._d
+    for p, _ in fs:
+        assert_primitive(p)
+        _, irreducible = to_ring(CH3, p).factor_list()
+        assert [m for _, m in irreducible] == [1]
+    assert len({frozenset(p.items()) for p, _ in fs}) == len(fs)
+    if rest is not None:
+        assert_primitive(rest)
+        assert not scalar._is_const(rest) and not scalar._certified(rest)
+        assert all(to_ring(CH3, rest).gcd(to_ring(CH3, p)) == ring.one for p, _ in fs)
+
+
+def check(f, expected):
+    assert_agrees(f, expected)
+    assert_base(f)
+
+
+# each example checks a dozen values against sympy, so fewer examples
+@settings(ORACLE, max_examples=100)
+@given(factored_operands(), st.lists(st.sampled_from("+-*/d^"), min_size=1, max_size=2), st.integers(0, 2))
+def test_factor_bases_match_sympy(operands, chain, axis):
+    forms, (n1, den1), (n2, den2), (built1, built2) = operands
+    f, F = build(forms, n1, den1, built1)
+    g, G = build(forms, n2, den2, built2)
+    for value, expected in ((f, F), (g, G), (f + g, F + G), (f - g, F - G), (f * g, F * G)):
+        check(value, expected)
+        check(value.partial(axis + 1), expected.diff(FIELDS[3][axis + 1]))
+    if not g.is_zero:
+        check(f / g, F / G)
+    # a short chain, with g and f taking turns as the other operand
+    value, expected = f + g, F + G
+    for i, op in enumerate(chain):
+        other, other_expected = (g, G) if i % 2 == 0 else (f, F)
+        if op == "+":
+            value, expected = value + other, expected + other_expected
+        elif op == "-":
+            value, expected = value - other, expected - other_expected
+        elif op == "*":
+            value, expected = value * other, expected * other_expected
+        elif op == "/" and not other.is_zero:
+            value, expected = value / other, expected / other_expected
+        elif op == "d":
+            v = (axis + i) % 3
+            value, expected = value.partial(v + 1), expected.diff(FIELDS[3][v + 1])
+        elif op == "^":
+            value, expected = value**2, expected**2
+        check(value, expected)
