@@ -17,13 +17,20 @@ algebroid Hamiltonian below, {{xi_i, mu}, xi_j} = c_{ij}^k xi_k and
 The bracket runs over the nonzero entries of the inverse pairing only,
 listed once per space (a split space reads them off its block form, with
 no arithmetic per entry). It takes the partials of F and G as term
-dicts, each partial of G once per call, and accumulates every product
-into one term dict in place, building a single SuperPoly at the end; an
-entry g^{ij} = +-1 costs no multiplication. Each product is summed on its
-own before it is folded in, in the loop order parity part of F, then
-coordinates, then zeta^i, zeta^j, so every scalar addition is the one that
-adding SuperPolys in that order would make: over Q(x) the order of the
-additions sets the size of the intermediate denominators.
+dicts, each partial of G at most once per call, and differentiates F by
+x^a only where G has a term in p_a to pair with it. It accumulates every
+product into one term dict in place, building a single SuperPoly at the
+end; an entry g^{ij} = +-1 costs no multiplication. Each product is
+summed on its own before it is folded in, in the loop order parity part
+of F, then coordinates, then zeta^i, zeta^j, so every scalar addition of
+``poisson_bracket`` is the one that adding SuperPolys in that order would
+make: over Q(x) the order of the additions sets the size of the
+intermediate denominators.
+
+``hamiltonian_square`` does not call the bracket. {H, H} of a cubic is
+graded-symmetric, so it sums half of the products, through the same
+kernel, and doubles the half-sum once; its additions are not the ones
+``poisson_bracket(H, H)`` makes, and its value is the same.
 
 Split spaces mark N = 2n with zeta = (y^1..y^n, xi_1..xi_n) and the
 off-diagonal block pairing, so {y^i, xi_j} = delta^i_j. Cubic
@@ -143,7 +150,12 @@ def _block_pairing(n: int) -> tuple:
 
 
 def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> SuperPoly:
-    """The graded symplectic bracket; even, degree -2."""
+    """The graded symplectic bracket; even, degree -2.
+
+    dF/dx^a is taken only where dG/dp_a is nonzero, so a bracket with a
+    generator, a section or a multivector differentiates F by few or no
+    coordinates.
+    """
     if F.table != space.table or G.table != space.table:
         raise ValueError("generator table mismatch")
     chart = space.chart
@@ -161,9 +173,9 @@ def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> Supe
         if not part:
             continue
         for a in range(chart.m):
-            dxF = _partial_terms(part, "coord", a)
-            if dxF:
-                _add_product(out, dxF, dG("even2", a))
+            dpG = dG("even2", a)
+            if dpG:
+                _add_product(out, _partial_terms(part, "coord", a), dpG)
             dpF = _partial_terms(part, "even2", a)
             if dpF:
                 _add_product(out, dpF, dG("coord", a), negate=True)
@@ -234,8 +246,41 @@ def standard_hamiltonian(space: SymplecticSpace2, rho: dict, phi: dict) -> Hamil
 
 
 def hamiltonian_square(H: Hamiltonian) -> SuperPoly:
-    """{H, H}; zero exactly when the derived bracket calculus closes."""
-    return poisson_bracket(H.value, H.value, H.space)
+    """{H, H}; zero exactly when the derived bracket calculus closes.
+
+    Every term of a cubic H is odd, so its partials by x^a and p_a are odd
+    and anticommute, its partials by zeta^i are even and commute, and the
+    inverse pairing is symmetric:
+
+        {H, H} = 2 (sum_a dH/dx^a dH/dp_a + sum_{i<j} g^{ij} d_iH d_jH)
+                 + sum_i g^{ii} (d_iH)^2.
+
+    Each partial of H is taken once. The half-sum is folded into one term
+    dict and each of its coefficients doubled once; the diagonal terms,
+    which only unsplit pairings have, are added after that.
+    """
+    space, terms = H.space, H.value.terms
+    chart = space.chart
+    half: dict = {}
+    for a in range(chart.m):
+        dpH = _partial_terms(terms, "even2", a)
+        if dpH:
+            _add_product(half, _partial_terms(terms, "coord", a), dpH)
+    dz = {i: _partial_terms(terms, "odd", i) for i in sorted({i for odd, _ in terms for i in odd})}
+    diagonal = []
+    for i, dziH in dz.items():
+        for j, gij in space._inv_rows[i]:
+            if j < i or j not in dz:
+                continue
+            scale = None if abs(gij) == 1 else ScalarField.const(chart, abs(gij))
+            if j == i:
+                diagonal.append((dziH, scale, gij < 0))
+            else:
+                _add_product(half, dziH, dz[j], scale, gij < 0)
+    out = {key: c + c for key, c in half.items()}
+    for dziH, scale, negate in diagonal:
+        _add_product(out, dziH, dziH, scale, negate)
+    return SuperPoly(space.table, out)
 
 
 def derived_bracket(X: SuperPoly, Y: SuperPoly, H: Hamiltonian) -> SuperPoly:

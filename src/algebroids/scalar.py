@@ -263,9 +263,9 @@ def _prs(a: dict, b: dict) -> dict:
 
 
 # GCDHEU tries this many points per variable and gives up before an image
-# passes _HEU_BITS bits: each variable set multiplies the size by its degree,
-# so (x1*x2*x3*x4)^15 + x1 is left to the PRS, while dense pairs with 12-digit
-# coefficients need 2^17.
+# passes _HEU_BITS bits: each variable set multiplies the size by its lesser
+# degree in the two operands, so (x1*x2*x3*x4)^15 + x1 is left to the PRS,
+# while dense pairs with 12-digit coefficients need 2^17.
 _HEU_POINTS = 6
 _HEU_BITS = 2**18
 
@@ -323,7 +323,8 @@ def _heu(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     None when the points or _HEU_BITS run out. The last variable is set to x
     and the gcd of the images, taken recursively, interpolated back; the
     module docstring says why a candidate dividing f and g is the gcd."""
-    degs = list(map(max, zip(*f, *g)))
+    df, dg = list(map(max, zip(*f))), list(map(max, zip(*g)))
+    degs = list(map(max, df, dg))
     if not any(degs):
         ((z, a),), (b,) = f.items(), g.values()
         h = gcd(a, b)
@@ -334,10 +335,11 @@ def _heu(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
         f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     growth = 1
-    for e in degs:
-        growth *= e or 1
+    for ef, eg in zip(df, dg):
+        growth *= min(ef, eg) or 1
     for _ in range(_HEU_POINTS):
-        # the last image has about x's bits times the degree of every variable
+        # the last image has about x's bits times the lesser degree of every
+        # variable: x, like the gcd, follows the smaller operand
         if x.bit_length() * growth > _HEU_BITS:
             return None
         ff, gg = _zeval(f, v, x), _zeval(g, v, x)

@@ -27,7 +27,7 @@ from algebroids.courant import (
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
-from genlib import rand_lie, rand_skew, rand_super_homogeneous
+from genlib import dense_rational_skew, rand_lie, rand_skew, rand_super_homogeneous
 from oracles import c_at, poisson_bracket_oracle, rho_at
 
 CH1 = BaseChart(("x1",))
@@ -182,6 +182,38 @@ def test_bracket_matches_the_defining_formula(data):
     assert all(not c.is_zero for c in bracket.terms.values())
 
 
+def odd_elements(space):
+    """Elements whose every term has one or three odd generators."""
+    return elements(space).map(
+        lambda F: SuperPoly(space.table, {key: c for key, c in F.terms.items() if len(key[0]) & 1})
+    )
+
+
+def cubics(space):
+    """Degree-3 elements: zeta zeta zeta and zeta p terms."""
+    N, m = len(space.zeta), space.chart.m
+    units = [tuple(int(a == b) for b in range(m)) for a in range(m)]
+    keys = st.tuples(st.integers(0, N - 1).map(lambda i: (i,)), st.sampled_from(units))
+    if N >= 3:
+        triples = st.lists(st.integers(0, N - 1), min_size=3, max_size=3, unique=True)
+        keys = keys | triples.map(lambda odd: (tuple(sorted(odd)), (0,) * m))
+    return st.dictionaries(keys, coefficients, max_size=5).map(lambda terms: SuperPoly(space.table, terms))
+
+
+# {F, F} with G the same object as F. The unsplit pairings here have
+# diagonal inverse entries g^{ii}, so the square's diagonal terms are met.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_self_bracket_matches_the_defining_formula(data):
+    space = data.draw(st.sampled_from(ORACLE_SPACES))
+    kind = data.draw(st.sampled_from(("odd", "cubic", "mixed")))
+    F = data.draw({"odd": odd_elements, "cubic": cubics, "mixed": elements}[kind](space))
+    expected = poisson_bracket_oracle(F, F, space)
+    assert poisson_bracket(F, F, space) == expected
+    if kind == "cubic":
+        assert hamiltonian_square(Hamiltonian(space, F)) == expected
+
+
 def test_bracket_bilinearity_and_degree():
     rng = random.Random(401)
     sp = split_space(CH2, 2)
@@ -308,6 +340,43 @@ def test_square_iff_lie():
     for A in pool:
         sq = hamiltonian_square(algebroid_hamiltonian(A))
         assert sq.is_zero == is_lie(A)[0]
+
+
+def test_square_and_generator_brackets_skip_what_pairs_with_nothing(monkeypatch):
+    products, partials = [], []
+    add_product = courant._add_product
+    partial = ScalarField.partial
+
+    def counting_product(*args, **kwargs):
+        products.append(args)
+        return add_product(*args, **kwargs)
+
+    def counting_partial(self, a):
+        partials.append(self)
+        return partial(self, a)
+
+    monkeypatch.setattr(courant, "_add_product", counting_product)
+    monkeypatch.setattr(ScalarField, "partial", counting_partial)
+    rng = random.Random(413)
+    anchorless = SkewAlgebroid(CH3, 3, {(1, 2, 3): parse_scalar("x1", CH3) / parse_scalar("x2 + 5", CH3)}, {})
+    for A in (dense_rational_skew(rng, CH3, 3), dense_rational_skew(rng, CH4, 2), anchorless):
+        H = algebroid_hamiltonian(A)
+        space = H.space
+        products.clear()
+        square = hamiltonian_square(H)
+        # one product per coordinate and one per pair (y^i, xi_i)
+        assert len(products) <= A.chart.m + A.rank
+        assert square == poisson_bracket_oracle(H.value, H.value, space)
+        # {H, x1} and {H, y1} differentiate H by no coordinate: G has no momentum
+        coefficients = {id(c) for c in H.value.terms.values()}
+        for name in (space.chart.names[0], space.y_name(1)):
+            G = SuperPoly.generator(space.table, name)
+            partials.clear()
+            poisson_bracket(H.value, G, space)
+            assert not [c for c in partials if id(c) in coefficients]
+            assert len(partials) <= A.chart.m
+            if not A.rho:
+                assert partials == []
 
 
 def test_dorfman_classical_values():

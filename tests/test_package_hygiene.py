@@ -75,3 +75,24 @@ def _unused_imports(path: Path) -> list:
 def test_no_module_imports_a_name_it_never_uses():
     assert SOURCES
     assert [hit for path in SOURCES for hit in _unused_imports(path)] == []
+
+
+# The canonical form of a ScalarField (its content, numerator, denominator and
+# the denominator's factor base) is scalar.py's own: every other module goes
+# through public arithmetic, so no caller can hand it a non-canonical value.
+_SCALAR_PRIVATE = {"_k", "_n", "_d", "_f", "_u", "_canonical"}
+
+
+def _scalar_internals(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _SCALAR_PRIVATE
+    ]
+
+
+def test_no_module_outside_scalar_reads_its_canonical_form():
+    others = [path for path in SOURCES if path.name != "scalar.py"]
+    assert len(others) == len(SOURCES) - 1
+    assert [hit for path in others for hit in _scalar_internals(path)] == []

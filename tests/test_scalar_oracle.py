@@ -252,6 +252,55 @@ def test_sparse_high_degree_goes_to_the_prs(monkeypatch):
             assert calls
 
 
+def test_large_against_small_stays_with_the_heuristic(monkeypatch):
+    """Quotients of random 14-term degree-6 polynomials in four coordinates:
+    partial(1) of (f + g)*f - g takes gcds of about 10 000 terms of degree
+    29 against 14 terms of degree 6. Each evaluation point follows the small
+    operand, so the images stay small and the heuristic answers; the PRS
+    used to get these pairs and gave no answer within 20 s."""
+
+    def no_prs(*args):
+        raise AssertionError(f"PRS reached on {len(args[0])} against {len(args[1])} terms")
+
+    monkeypatch.setattr(scalar, "_prs", no_prs)
+    chart = BaseChart(("x1", "x2", "x3", "x4"))
+    rng = random.Random(1)
+
+    def poly():
+        terms = {}
+        while len(terms) < 14:
+            e = [0] * 4
+            for _ in range(rng.randint(0, 6)):
+                e[rng.randrange(4)] += 1
+            terms[tuple(e)] = rng.choice((-1, 1)) * rng.randint(100, 999)
+        return terms
+
+    f = ScalarField(chart, poly(), poly())
+    g = ScalarField(chart, poly(), poly())
+    start = perf_counter()
+    r = ((f + g) * f - g).partial(1)
+    # about half a second; the limit leaves room for slow machines
+    assert perf_counter() - start < 10
+    assert len(r.num) > 10_000
+
+    point = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(5, 7))
+
+    def at(s):
+        def value(p):
+            total = Fraction(0)
+            for m, c in p.items():
+                for x, e in zip(point, m):
+                    c *= x**e
+                total += c
+            return total
+
+        return value(s.num) / value(s.den)
+
+    # the product rule at a point, from the small operands' own derivatives
+    f1, g1 = at(f.partial(1)), at(g.partial(1))
+    assert at(r) == (f1 + g1) * at(f) + (at(f) + at(g)) * f1 - g1
+
+
 # Denominators over a factor base: powers of three linear forms, each
 # certified irreducible by a coordinate it holds in one term of the form
 # c*x_v, and factors that no coordinate certifies, given expanded. Two of
