@@ -9,6 +9,10 @@ mathematical success, 1 for a mathematical failure (the report line carries
 the certificate), 2 for an input error (unknown verb, undeclared name,
 parse failure); input errors go to stderr prefixed with ``ERROR:`` and the
 file position when one applies.
+
+Each verb's usage line in ``_VERBS`` is its one signature: ``run`` reads the
+positional slots and the allowed options off it, ``--help`` prints it, and
+README's command block lists exactly the lines ``--help`` prints.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .dirac import (
 )
 from .errors import DiracClosureError
 from .modular import Cocycle1, exact_bound, is_exact, modular_class_of_morphism, modular_cocycle
-from .scalar import BaseChart, ParseError, ScalarField, parse_scalar
+from .scalar import BaseChart, ParseError, parse_scalar
 from .superalg import SuperPoly, parse_super
 
 
@@ -90,6 +94,14 @@ def _ints(fields, where: str):
         raise CliError(f"{where}: indices must be integers") from None
 
 
+def _parse(parse, text: str, context, prefix: str):
+    """parse(text, context), a parse error reported as an input error."""
+    try:
+        return parse(text, context)
+    except ParseError as e:
+        raise CliError(f"{prefix}: {e}") from None
+
+
 class Problem:
     """All named objects declared by one problem file."""
 
@@ -115,9 +127,13 @@ class Problem:
         getattr(self, kind + "s")[name] = obj
 
     def lookup(self, kind: str, name: str):
-        pool = getattr(self, kind + "s")
-        if name in pool:
-            return pool[name]
+        """The object declared as name; kind may join kinds with '-or-'."""
+        kinds = kind.split("-or-")
+        for k in kinds:
+            pool = getattr(self, k + "s")
+            if name in pool:
+                return pool[name]
+        kind = " or ".join(kinds)
         if name in self.kinds:
             raise CliError(f"{name!r} is {_an(self.kinds[name])}, not {_an(kind)}")
         raise CliError(f"undeclared {kind} {name!r}")
@@ -130,35 +146,76 @@ def _ref_algebroid(problem: Problem, name: str, where: str) -> SkewAlgebroid:
         raise CliError(f"{where}: {e}") from None
 
 
+# (section kind, entry key) -> (number of indices, range test, range message);
+# the test gets the section and the indices
+_ENTRIES = {
+    ("chart", "coords"): (0, None, None),
+    ("algebroid", "rank"): (0, None, None),
+    ("algebroid", "c"): (
+        3,
+        lambda s, i, j, k: 1 <= i < j <= s.rank and 1 <= k <= s.rank,
+        "structure index ({},{},{}) needs 1 <= i < j <= rank",
+    ),
+    ("algebroid", "rho"): (
+        2,
+        lambda s, i, a: 1 <= i <= s.rank and 1 <= a <= s.problem.chart.m,
+        "anchor index ({},{}) out of range",
+    ),
+    ("morphism", "phi"): (
+        2,
+        lambda s, i, j: 1 <= i <= s.source.rank and 1 <= j <= s.target.rank,
+        "matrix index ({},{}) out of range",
+    ),
+    ("hamiltonian", "phi"): (
+        3,
+        lambda s, i, j, k: 1 <= i < j < k <= s.rank,
+        "twist index ({},{},{}) needs 1 <= i < j < k <= {n}",
+    ),
+    ("hamiltonian", "term"): (0, None, None),
+    ("bivector", "P"): (
+        2,
+        lambda s, i, j: 1 <= i < j <= s.rank,
+        "bivector index ({},{}) needs 1 <= i < j <= {n}",
+    ),
+    ("frame", "D"): (1, lambda s, a: 1 <= a <= s.rank, "frame index {} out of range"),
+}
+_SHAPES = {
+    "chart": "chart sections take a single 'coords' entry",
+    "algebroid": "algebroid entries are 'rank', 'c i j k', or 'rho i a'",
+    "morphism": "morphism entries look like 'phi i j = <expr>'",
+    "hamiltonian": "hamiltonian entries are 'phi i j k' or 'term'",
+    "bivector": "bivector entries look like 'P i j = <expr>'",
+    "frame": "frame entries look like 'D a = <expr>'",
+}
+
+
 class _Section:
-    """One in-progress file section; finish() registers the built object."""
+    """One in-progress file section; finish() registers the built object.
+
+    Every entry is kept under (key, *indices), in file order. An algebroid's
+    rank comes from its 'rank' entry, any other section's from its algebroid.
+    """
 
     def __init__(self, problem: Problem, header: str, where: str):
         self.problem = problem
         self.where = where
+        self.entries = {}
+        self.rank = None
         fields = header.split()
+        morphism = _MORPHISM_HEADER.match(header)
         if header == "chart":
             self.kind = "chart"
-            self.coords = None
-        elif _MORPHISM_HEADER.match(header):
-            name, src, dst = _MORPHISM_HEADER.match(header).groups()
+        elif morphism:
             self.kind = "morphism"
-            self.name = name
+            self.name, src, dst = morphism.groups()
             self.source = _ref_algebroid(problem, src, where)
             self.target = _ref_algebroid(problem, dst, where)
-            self.matrix = {}
         elif len(fields) == 2 and fields[0] == "algebroid":
-            self.kind = "algebroid"
-            self.name = fields[1]
-            self.rank = None
-            self.c = {}
-            self.rho = {}
+            self.kind, self.name = fields
         elif len(fields) == 4 and fields[0] in ("hamiltonian", "bivector", "frame") and fields[2] == "on":
-            self.kind = fields[0]
-            self.name = fields[1]
+            self.kind, self.name = fields[:2]
             self.algebroid = _ref_algebroid(problem, fields[3], where)
-            self.entries = {}
-            self.extra = []
+            self.rank = self.algebroid.rank
         else:
             raise CliError(f"{where}: unrecognized section header [{header}]")
         if self.kind != "chart" and not _IDENT.match(self.name):
@@ -166,30 +223,31 @@ class _Section:
         if self.kind != "chart" and problem.chart is None:
             raise CliError(f"{where}: no [chart] section declared yet")
 
-    def _scalar(self, text: str, where: str) -> ScalarField:
-        try:
-            return parse_scalar(text, self.problem.chart)
-        except ParseError as e:
-            raise CliError(f"{where}: {e}") from None
-
-    def _super(self, text: str, table, where: str) -> SuperPoly:
-        try:
-            return parse_super(text, table)
-        except ParseError as e:
-            raise CliError(f"{where}: {e}") from None
-
     def add(self, key: str, fields, rhs: str, where: str):
-        if self.kind == "chart":
-            if key != "coords" or fields:
-                raise CliError(f"{where}: chart sections take a single 'coords' entry")
-            if self.coords is not None:
-                raise CliError(f"{where}: duplicate coords entry")
+        if self.kind == "algebroid" and self.rank is None and (key, fields) != ("rank", []):
+            raise CliError(f"{where}: 'rank = n' must come before structure entries")
+        spec = _ENTRIES.get((self.kind, key))
+        if spec is None or len(fields) != spec[0]:
+            raise CliError(f"{where}: {_SHAPES[self.kind]}")
+        _, in_range, message = spec
+        indices = _ints(fields, where)
+        if in_range is not None and not in_range(self, *indices):
+            raise CliError(f"{where}: {message.format(*indices, n=self.rank)}")
+        # terms may repeat and add up, so each is numbered
+        entry = (key, len(self.entries)) if key == "term" else (key, *indices)
+        if entry in self.entries:
+            what = f"entry {key} {' '.join(map(str, indices))}" if indices else f"{key} entry"
+            raise CliError(f"{where}: duplicate {what}")
+        self.entries[entry] = self._value(key, rhs, where)
+
+    def _value(self, key: str, rhs: str, where: str):
+        if key == "coords":
             names = rhs.split()
             cap = _MAX_GENERATORS // 2 - 1
             if len(names) > cap:
                 raise CliError(f"{where}: at most {cap} coordinates")
             try:
-                self.coords = BaseChart(tuple(names))
+                chart = BaseChart(tuple(names))
             except ValueError as e:
                 raise CliError(f"{where}: {e}") from None
             for name in names:
@@ -198,36 +256,8 @@ class _Section:
                         f"{where}: coordinate name {name!r} is reserved for the"
                         " generated y*, xi* and p* names"
                     )
-        elif self.kind == "algebroid":
-            self._add_algebroid(key, fields, rhs, where)
-        elif self.kind == "morphism":
-            if key != "phi" or len(fields) != 2:
-                raise CliError(f"{where}: morphism entries look like 'phi i j = <expr>'")
-            i, j = _ints(fields, where)
-            if not (1 <= i <= self.source.rank and 1 <= j <= self.target.rank):
-                raise CliError(f"{where}: matrix index ({i},{j}) out of range")
-            if (i, j) in self.matrix:
-                raise CliError(f"{where}: duplicate entry phi {i} {j}")
-            self.matrix[(i, j)] = self._scalar(rhs, where)
-        elif self.kind == "hamiltonian":
-            self._add_hamiltonian(key, fields, rhs, where)
-        elif self.kind == "bivector":
-            if key != "P" or len(fields) != 2:
-                raise CliError(f"{where}: bivector entries look like 'P i j = <expr>'")
-            i, j = _ints(fields, where)
-            n = self.algebroid.rank
-            if not (1 <= i < j <= n):
-                raise CliError(f"{where}: bivector index ({i},{j}) needs 1 <= i < j <= {n}")
-            if (i, j) in self.entries:
-                raise CliError(f"{where}: duplicate entry P {i} {j}")
-            self.entries[(i, j)] = self._scalar(rhs, where)
-        else:
-            self._add_frame(key, fields, rhs, where)
-
-    def _add_algebroid(self, key, fields, rhs, where):
-        if key == "rank" and not fields:
-            if self.rank is not None:
-                raise CliError(f"{where}: duplicate rank entry")
+            return chart
+        if key == "rank":
             try:
                 self.rank = int(rhs)
             except ValueError:
@@ -237,76 +267,38 @@ class _Section:
             cap = _MAX_GENERATORS // 2 - self.problem.chart.m
             if self.rank > cap:
                 raise CliError(f"{where}: rank must be at most {cap} on this chart")
-            return
-        if self.rank is None:
-            raise CliError(f"{where}: 'rank = n' must come before structure entries")
-        if key == "c" and len(fields) == 3:
-            i, j, k = _ints(fields, where)
-            if not (1 <= i < j <= self.rank and 1 <= k <= self.rank):
-                raise CliError(f"{where}: structure index ({i},{j},{k}) needs 1 <= i < j <= rank")
-            if (i, j, k) in self.c:
-                raise CliError(f"{where}: duplicate entry c {i} {j} {k}")
-            self.c[(i, j, k)] = self._scalar(rhs, where)
-        elif key == "rho" and len(fields) == 2:
-            i, a = _ints(fields, where)
-            if not (1 <= i <= self.rank and 1 <= a <= self.problem.chart.m):
-                raise CliError(f"{where}: anchor index ({i},{a}) out of range")
-            if (i, a) in self.rho:
-                raise CliError(f"{where}: duplicate entry rho {i} {a}")
-            self.rho[(i, a)] = self._scalar(rhs, where)
-        else:
-            raise CliError(f"{where}: algebroid entries are 'rank', 'c i j k', or 'rho i a'")
+            return self.rank
+        if key in ("term", "D"):
+            value = _parse(parse_super, rhs, self.problem.space(self.rank).table, where)
+            if key == "D" and (value.is_zero or value != value.degree_part(1)):
+                raise CliError(f"{where}: frame members must be homogeneous of degree 1 in y, xi")
+            return value
+        return _parse(parse_scalar, rhs, self.problem.chart, where)
 
-    def _add_hamiltonian(self, key, fields, rhs, where):
-        space = self.problem.space(self.algebroid.rank)
-        if key == "phi" and len(fields) == 3:
-            i, j, k = _ints(fields, where)
-            n = self.algebroid.rank
-            if not (1 <= i < j < k <= n):
-                raise CliError(f"{where}: twist index ({i},{j},{k}) needs 1 <= i < j < k <= {n}")
-            if (i, j, k) in self.entries:
-                raise CliError(f"{where}: duplicate entry phi {i} {j} {k}")
-            self.entries[(i, j, k)] = self._scalar(rhs, where)
-        elif key == "term" and not fields:
-            self.extra.append(self._super(rhs, space.table, where))
-        else:
-            raise CliError(f"{where}: hamiltonian entries are 'phi i j k' or 'term'")
-
-    def _add_frame(self, key, fields, rhs, where):
-        if key != "D" or len(fields) != 1:
-            raise CliError(f"{where}: frame entries look like 'D a = <expr>'")
-        (a,) = _ints(fields, where)
-        n = self.algebroid.rank
-        if not 1 <= a <= n:
-            raise CliError(f"{where}: frame index {a} out of range")
-        if a in self.entries:
-            raise CliError(f"{where}: duplicate entry D {a}")
-        space = self.problem.space(n)
-        value = self._super(rhs, space.table, where)
-        if value.is_zero or value != value.degree_part(1):
-            raise CliError(f"{where}: frame members must be homogeneous of degree 1 in y, xi")
-        self.entries[a] = value
+    def _keyed(self, key: str) -> dict:
+        """The entries under key, by their indices, in file order."""
+        return {entry[1:]: value for entry, value in self.entries.items() if entry[0] == key}
 
     def finish(self):
         problem, where = self.problem, self.where
         if self.kind == "chart":
             if problem.chart is not None:
                 raise CliError(f"{where}: only one [chart] section is allowed")
-            if self.coords is None:
+            if not self.entries:
                 raise CliError(f"{where}: chart section needs a 'coords' entry")
-            problem.chart = self.coords
+            problem.chart = self.entries[("coords",)]
             return
         try:
             if self.kind == "algebroid":
                 if self.rank is None:
                     raise CliError(f"{where}: algebroid section needs a 'rank' entry")
-                obj = SkewAlgebroid(problem.chart, self.rank, self.c, self.rho)
+                obj = SkewAlgebroid(problem.chart, self.rank, self._keyed("c"), self._keyed("rho"))
             elif self.kind == "morphism":
-                obj = AlgebroidMorphism(self.source, self.target, self.matrix)
+                obj = AlgebroidMorphism(self.source, self.target, self._keyed("phi"))
             elif self.kind == "hamiltonian":
                 obj = self._finish_hamiltonian()
             elif self.kind == "bivector":
-                obj = Bivector(problem.space(self.algebroid.rank), self.entries)
+                obj = Bivector(problem.space(self.rank), self._keyed("P"))
             else:
                 obj = self._finish_frame()
         except ValueError as e:
@@ -314,19 +306,20 @@ class _Section:
         problem.register(self.kind, self.name, obj, where)
 
     def _finish_hamiltonian(self) -> Hamiltonian:
-        space = self.problem.space(self.algebroid.rank)
+        space = self.problem.space(self.rank)
         value = algebroid_hamiltonian(self.algebroid, space).value
-        value = value + standard_hamiltonian(space, {}, self.entries).value
-        for extra in self.extra:
+        value = value + standard_hamiltonian(space, {}, self._keyed("phi")).value
+        for extra in self._keyed("term").values():
             value = value + extra
         return Hamiltonian(space, value)
 
     def _finish_frame(self) -> DiracFrame:
-        n = self.algebroid.rank
-        missing = [str(a) for a in range(1, n + 1) if a not in self.entries]
+        n = self.rank
+        members = self._keyed("D")
+        missing = [str(a) for a in range(1, n + 1) if (a,) not in members]
         if missing:
             raise CliError(f"{self.where}: frame is missing members D {', D '.join(missing)}")
-        return DiracFrame(self.problem.space(n), [self.entries[a] for a in range(1, n + 1)])
+        return DiracFrame(self.problem.space(n), [members[(a,)] for a in range(1, n + 1)])
 
 
 def parse_problem(path: str, text: str) -> Problem:
@@ -372,20 +365,19 @@ def load_problem(path: str) -> Problem:
 
 # verb helpers
 
-def _parse_section_arg(text: str, space, what: str) -> SuperPoly:
-    try:
-        value = parse_super(text, space.table)
-    except ParseError as e:
-        raise CliError(f"{what} {text!r}: {e}") from None
+def _report(code: int, *lines) -> int:
+    """Print the report lines; code is the exit status."""
+    print(*lines, sep="\n")
+    return code
+
+def _section_arg(text: str, space) -> SuperPoly:
+    value = _parse(parse_super, text, space.table, f"section {text!r}")
     if value != value.degree_part(1):
-        raise CliError(f"{what} must be homogeneous of degree 1")
+        raise CliError("section must be homogeneous of degree 1")
     return value
 
-def _parse_covector_arg(text: str, A: SkewAlgebroid, what: str) -> SuperPoly:
-    try:
-        value = parse_super(text, A.table())
-    except ParseError as e:
-        raise CliError(f"{what} {text!r}: {e}") from None
+def _covector_arg(text: str, A: SkewAlgebroid, what: str) -> SuperPoly:
+    value = _parse(parse_super, text, A.table(), f"{what} {text!r}")
     for odd, even in value.terms:
         if len(odd) != 1 or any(even):
             raise CliError(f"{what} must be a y-linear expression")
@@ -404,51 +396,42 @@ def _not_projectable(H: Hamiltonian) -> str:
     bad = parts.gamma.value + parts.psi.value
     return f"PROJECTABLE: NO, obstruction = {bad}"
 
-def _quasi_or_none(P: Bivector, H: Hamiltonian):
-    """(flag, failure line): the shared precondition of the twisted verbs."""
+def _not_quasi_poisson(P: Bivector, H: Hamiltonian):
+    """The failure line of the twisted verbs' shared precondition, or None."""
     try:
         flag, obstruction = quasi_poisson_check(P, H)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if flag:
-        return True, None
-    return False, f"QUASI-POISSON: NO, obstruction = {obstruction}"
+    return None if flag else f"QUASI-POISSON: NO, obstruction = {obstruction}"
+
+def _dirac_fail(e: DiracClosureError) -> int:
+    a, b = e.pair
+    return _report(1, f"DIRAC: FAIL, bracket ({a},{b}) leaves the span, residual = {e.residual}")
 
 
-# verbs
+# verbs: each takes the objects and inline texts of its usage line, in order,
+# and its options as keywords
 
-def _cmd_check_jacobi(problem, names, options):
-    A = problem.lookup("algebroid", names[0])
+def _cmd_check_jacobi(A):
     flag, certificate = is_lie(A)
-    if flag:
-        print("JACOBI: OK")
-        return 0
-    print(f"JACOBI: FAIL, [d,d] = {certificate}")
-    return 1
+    return _report(0, "JACOBI: OK") if flag else _report(1, f"JACOBI: FAIL, [d,d] = {certificate}")
 
-def _cmd_modular(problem, names, options):
-    A = problem.lookup("algebroid", names[0])
-    gauge = None
-    if "gauge" in options:
-        try:
-            gauge = parse_scalar(options["gauge"], problem.chart)
-        except ParseError as e:
-            raise CliError(f"gauge {options['gauge']!r}: {e}") from None
+def _cmd_modular(A, gauge=None):
+    if gauge is not None:
+        gauge = _parse(parse_scalar, gauge, A.chart, f"gauge {gauge!r}")
         if gauge.is_zero:
             raise CliError("gauge must be a nonzero function")
-    print(f"MODULAR COCYCLE: {modular_cocycle(A, gauge).value}")
-    return 0
+    return _report(0, f"MODULAR COCYCLE: {modular_cocycle(A, gauge).value}")
 
-def _cmd_exact(problem, names, options):
-    A = problem.lookup("algebroid", names[0])
-    value = _parse_covector_arg(names[1], A, "cocycle")
+def _cmd_exact(A, text, bound=None):
+    value = _covector_arg(text, A, "cocycle")
     try:
         cocycle = Cocycle1(A, value)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if "bound" in options:
+    if bound is not None:
         try:
-            bound = int(options["bound"])
+            bound = int(bound)
         except ValueError:
             raise CliError("--bound must be an integer") from None
         if bound < 1:
@@ -457,7 +440,7 @@ def _cmd_exact(problem, names, options):
     else:
         bound = exact_bound(value)
         over = f"default degree bound {bound} is over budget; "
-    cap = _max_bound(problem.chart.m)
+    cap = _max_bound(A.chart.m)
     if bound > cap:
         raise CliError(f"{over}--bound must be at most {cap}")
     try:
@@ -465,166 +448,114 @@ def _cmd_exact(problem, names, options):
     except ValueError as e:
         raise CliError(str(e)) from None
     if flag:
-        print(f"EXACT: YES, f = {witness}")
-        return 0
-    print(f"EXACT: NO (degree bound {bound})")
-    return 1
+        return _report(0, f"EXACT: YES, f = {witness}")
+    return _report(1, f"EXACT: NO (degree bound {bound})")
 
-def _cmd_morphism_check(problem, names, options):
-    phi = problem.lookup("morphism", names[0])
+def _cmd_morphism_check(phi):
     flag, certificate = is_morphism(phi)
     if flag:
-        print("MORPHISM: OK")
-        return 0
+        return _report(0, "MORPHISM: OK")
     name, defect = certificate
-    print(f"MORPHISM: FAIL, at {name}, defect = {defect}")
-    return 1
+    return _report(1, f"MORPHISM: FAIL, at {name}, defect = {defect}")
 
-def _cmd_morphism_mod(problem, names, options):
-    phi = problem.lookup("morphism", names[0])
+def _cmd_morphism_mod(phi):
     if not is_morphism(phi)[0]:
         # the verdict is memoised on phi, so this reprints it without a rerun
-        return _cmd_morphism_check(problem, names, options)
-    print(f"MORPHISM MODULAR CLASS: {modular_class_of_morphism(phi).value}")
-    return 0
+        return _cmd_morphism_check(phi)
+    return _report(0, f"MORPHISM MODULAR CLASS: {modular_class_of_morphism(phi).value}")
 
-def _cmd_courant_check(problem, names, options):
-    H = problem.lookup("hamiltonian", names[0])
+def _cmd_courant_check(H):
     square = hamiltonian_square(H)
     if square.is_zero:
-        print("COURANT: OK")
-        return 0
-    print(f"COURANT: FAIL, {{H,H}} = {square}")
-    return 1
+        return _report(0, "COURANT: OK")
+    return _report(1, f"COURANT: FAIL, {{H,H}} = {square}")
 
-def _cmd_dorfman(problem, names, options):
-    H = problem.lookup("hamiltonian", names[0])
-    X = _parse_section_arg(names[1], H.space, "section")
-    Y = _parse_section_arg(names[2], H.space, "section")
-    print(f"DORFMAN: {derived_bracket(X, Y, H)}")
-    return 0
+def _cmd_dorfman(H, first, second):
+    X = _section_arg(first, H.space)
+    Y = _section_arg(second, H.space)
+    return _report(0, f"DORFMAN: {derived_bracket(X, Y, H)}")
 
-def _cmd_projectable(problem, names, options):
-    H = problem.lookup("hamiltonian", names[0])
-    if is_projectable(H):
-        print("PROJECTABLE: YES")
-        return 0
-    print(_not_projectable(H))
-    return 1
+def _cmd_projectable(H):
+    return _report(0, "PROJECTABLE: YES") if is_projectable(H) else _report(1, _not_projectable(H))
 
-def _cmd_project(problem, names, options):
-    H = problem.lookup("hamiltonian", names[0])
+def _cmd_project(H):
     if not is_projectable(H):
-        print(_not_projectable(H))
-        return 1
+        return _report(1, _not_projectable(H))
     A = project_to_E(H)
-    print(f"PROJECTED ALGEBROID: rank {A.rank}")
-    for line in _structure_lines(A):
-        print(line)
-    print(f"HOMOLOGICAL: {'YES' if hamiltonian_square(H).is_zero else 'NO'}")
-    return 0
+    homological = "YES" if hamiltonian_square(H).is_zero else "NO"
+    lines = _structure_lines(A)
+    return _report(0, f"PROJECTED ALGEBROID: rank {A.rank}", *lines, f"HOMOLOGICAL: {homological}")
 
-def _cmd_quasi_poisson(problem, names, options):
-    P = problem.lookup("bivector", names[0])
-    H = problem.lookup("hamiltonian", names[1])
-    flag, failure = _quasi_or_none(P, H)
-    if flag:
-        print("QUASI-POISSON: YES")
-        return 0
-    print(failure)
-    return 1
+def _cmd_quasi_poisson(P, H):
+    failure = _not_quasi_poisson(P, H)
+    return _report(1, failure) if failure else _report(0, "QUASI-POISSON: YES")
 
-def _cmd_twisted_bracket(problem, names, options):
-    P = problem.lookup("bivector", names[0])
-    H = problem.lookup("hamiltonian", names[1])
-    flag, failure = _quasi_or_none(P, H)
-    if not flag:
-        print(failure)
-        return 1
+def _cmd_twisted_bracket(P, H, first, second):
+    failure = _not_quasi_poisson(P, H)
+    if failure:
+        return _report(1, failure)
     A = project_to_E(H)
-    alpha = _parse_covector_arg(names[2], A, "covector")
-    beta = _parse_covector_arg(names[3], A, "covector")
-    print(f"TWISTED BRACKET: {twisted_bracket(P, H, alpha, beta)}")
-    return 0
+    alpha = _covector_arg(first, A, "covector")
+    beta = _covector_arg(second, A, "covector")
+    return _report(0, f"TWISTED BRACKET: {twisted_bracket(P, H, alpha, beta)}")
 
-def _dirac_fail(e: DiracClosureError) -> str:
-    a, b = e.pair
-    return f"DIRAC: FAIL, bracket ({a},{b}) leaves the span, residual = {e.residual}"
-
-def _cmd_dirac_check(problem, names, options):
-    frame = problem.lookup("frame", names[0])
-    H = problem.lookup("hamiltonian", names[1])
+def _cmd_dirac_check(frame, H):
     try:
         induced = induced_algebroid(frame, H)
     except DiracClosureError as e:
-        print(_dirac_fail(e))
-        return 1
+        return _dirac_fail(e)
     except ValueError as e:
         raise CliError(str(e)) from None
-    print(f"DIRAC: OK, rank {induced.rank}")
-    for line in _structure_lines(induced):
-        print(line)
-    return 0
+    return _report(0, f"DIRAC: OK, rank {induced.rank}", *_structure_lines(induced))
 
-def _cmd_relative_modular(problem, names, options):
-    name = names[0]
-    if name in problem.frames:
-        frame = problem.frames[name]
-    elif name in problem.bivectors:
-        frame = graph_frame(problem.bivectors[name])
-    elif name in problem.kinds:
-        raise CliError(f"{name!r} is {_an(problem.kinds[name])}, not a frame or bivector")
-    else:
-        raise CliError(f"undeclared frame or bivector {name!r}")
-    H = problem.lookup("hamiltonian", names[1])
+def _cmd_relative_modular(frame, H):
+    if isinstance(frame, Bivector):
+        frame = graph_frame(frame)
     try:
         cocycle = relative_modular_class(frame, H)
     except DiracClosureError as e:
-        print(_dirac_fail(e))
-        return 1
+        return _dirac_fail(e)
     except ValueError as e:
         raise CliError(str(e)) from None
-    print(f"RELATIVE MODULAR CLASS: {cocycle.value}")
-    return 0
+    return _report(0, f"RELATIVE MODULAR CLASS: {cocycle.value}")
 
-def _cmd_verify_cor53(problem, names, options):
-    P = problem.lookup("bivector", names[0])
-    H = problem.lookup("hamiltonian", names[1])
-    flag, failure = _quasi_or_none(P, H)
-    if not flag:
-        print(failure)
-        return 1
+def _cmd_verify_cor53(P, H):
+    failure = _not_quasi_poisson(P, H)
+    if failure:
+        return _report(1, failure)
     ok, certificate = verify_morphism_cor53(P, H)
     if ok:
-        print("COR53: OK")
-        return 0
+        return _report(0, "COR53: OK")
     name, defect = certificate
-    print(f"COR53: FAIL, at {name}, defect = {defect}")
-    return 1
+    return _report(1, f"COR53: FAIL, at {name}, defect = {defect}")
 
 
+# verb -> (handler, usage). The usage line is the verb's one signature: run()
+# reads its positional slots and its [--option VALUE] options off it.
 _VERBS = {
-    "check-jacobi": (_cmd_check_jacobi, 1, (), "FILE ALGEBROID"),
-    "modular": (_cmd_modular, 1, ("gauge",), "FILE ALGEBROID [--gauge EXPR]"),
-    "exact": (_cmd_exact, 2, ("bound",), "FILE ALGEBROID COCYCLE [--bound N]"),
-    "morphism-check": (_cmd_morphism_check, 1, (), "FILE MORPHISM"),
-    "morphism-mod": (_cmd_morphism_mod, 1, (), "FILE MORPHISM"),
-    "courant-check": (_cmd_courant_check, 1, (), "FILE HAMILTONIAN"),
-    "dorfman": (_cmd_dorfman, 3, (), "FILE HAMILTONIAN SECTION SECTION"),
-    "projectable": (_cmd_projectable, 1, (), "FILE HAMILTONIAN"),
-    "project": (_cmd_project, 1, (), "FILE HAMILTONIAN"),
-    "quasi-poisson": (_cmd_quasi_poisson, 2, (), "FILE BIVECTOR HAMILTONIAN"),
-    "twisted-bracket": (_cmd_twisted_bracket, 4, (), "FILE BIVECTOR HAMILTONIAN COVECTOR COVECTOR"),
-    "dirac-check": (_cmd_dirac_check, 2, (), "FILE FRAME HAMILTONIAN"),
-    "relative-modular": (_cmd_relative_modular, 2, (), "FILE FRAME-OR-BIVECTOR HAMILTONIAN"),
-    "verify-cor53": (_cmd_verify_cor53, 2, (), "FILE BIVECTOR HAMILTONIAN"),
+    "check-jacobi": (_cmd_check_jacobi, "FILE ALGEBROID"),
+    "modular": (_cmd_modular, "FILE ALGEBROID [--gauge EXPR]"),
+    "exact": (_cmd_exact, "FILE ALGEBROID COCYCLE [--bound N]"),
+    "morphism-check": (_cmd_morphism_check, "FILE MORPHISM"),
+    "morphism-mod": (_cmd_morphism_mod, "FILE MORPHISM"),
+    "courant-check": (_cmd_courant_check, "FILE HAMILTONIAN"),
+    "dorfman": (_cmd_dorfman, "FILE HAMILTONIAN SECTION SECTION"),
+    "projectable": (_cmd_projectable, "FILE HAMILTONIAN"),
+    "project": (_cmd_project, "FILE HAMILTONIAN"),
+    "quasi-poisson": (_cmd_quasi_poisson, "FILE BIVECTOR HAMILTONIAN"),
+    "twisted-bracket": (_cmd_twisted_bracket, "FILE BIVECTOR HAMILTONIAN COVECTOR COVECTOR"),
+    "dirac-check": (_cmd_dirac_check, "FILE FRAME HAMILTONIAN"),
+    "relative-modular": (_cmd_relative_modular, "FILE FRAME-OR-BIVECTOR HAMILTONIAN"),
+    "verify-cor53": (_cmd_verify_cor53, "FILE BIVECTOR HAMILTONIAN"),
 }
+# slots handed over as typed; every other slot after FILE names an object
+_TEXT_SLOTS = ("SECTION", "COCYCLE", "COVECTOR")
 
 
 def _usage() -> str:
     lines = ["usage: algebroids VERB FILE ARGS..."]
     for verb in sorted(_VERBS):
-        lines.append(f"  algebroids {verb} {_VERBS[verb][3]}")
+        lines.append(f"  algebroids {verb} {_VERBS[verb][1]}")
     return "\n".join(lines)
 
 
@@ -657,12 +588,17 @@ def run(argv) -> int:
     verb = argv[0]
     if verb not in _VERBS:
         raise CliError(f"unknown verb {verb!r} (run with --help for the list)")
-    handler, arity, allowed, usage = _VERBS[verb]
-    positional, options = _split_args(argv[1:], allowed)
-    if len(positional) != arity + 1:
+    handler, usage = _VERBS[verb]
+    positional, options = _split_args(argv[1:], re.findall(r"\[--(\w+)", usage))
+    slots = usage.split(" [")[0].split()
+    if len(positional) != len(slots):
         raise CliError(f"usage: algebroids {verb} {usage}")
     problem = load_problem(positional[0])
-    return handler(problem, positional[1:], options)
+    args = [
+        text if slot in _TEXT_SLOTS else problem.lookup(slot.lower(), text)
+        for slot, text in zip(slots[1:], positional[1:])
+    ]
+    return handler(*args, **options)
 
 
 def main(argv=None) -> int:

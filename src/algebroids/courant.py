@@ -53,7 +53,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebroid import SkewAlgebroid, _coerce_scalar
-from .errors import InternalConsistencyError
+from .errors import cross_check
 from .linalg import invert_matrix
 from .scalar import BaseChart, ScalarField
 from .superalg import (
@@ -359,10 +359,7 @@ def _projection(H: Hamiltonian) -> SkewAlgebroid | None:
             break
         brackets[name] = comp
     by_field = len(brackets) == space.chart.m + n
-    if by_type != by_field:
-        raise InternalConsistencyError(
-            "projectability criteria disagree", "projectability", (by_type, by_field)
-        )
+    cross_check(by_type, by_field, "projectability criteria disagree", "projectability")
     algebroid = None
     if by_type:
         # only y^1..y^n occur, at odd indices 0..n-1

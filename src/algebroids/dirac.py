@@ -49,7 +49,7 @@ from .courant import (
     poisson_bracket,
     project_to_E,
 )
-from .errors import DiracClosureError, InternalConsistencyError
+from .errors import DiracClosureError, InternalConsistencyError, cross_check
 from .linalg import row_reduce, solve_linear
 from .modular import Cocycle1, modular_class_of_morphism, modular_cocycle
 from .scalar import ScalarField
@@ -294,10 +294,7 @@ def _twist(P: Bivector, H: Hamiltonian):
     square = schouten(A, pmv, pmv)
     phi = bidegree_split(H).phi.value
     path2 = transport(square, space.table) * Fraction(-1, 2) - sharp_substitution(P, phi)
-    if obstruction != path2:
-        raise InternalConsistencyError(
-            "twist obstruction paths disagree", "twist_obstruction", (obstruction, path2)
-        )
+    cross_check(obstruction, path2, "twist obstruction paths disagree", "twist_obstruction")
     twisted = None
     if obstruction.is_zero:
         n = space.split_rank
@@ -372,10 +369,7 @@ def twisted_bracket(P: Bivector, H: Hamiltonian, alpha, beta) -> SuperPoly:
         - A.de_rham_field().apply(pair)
         - interior_product(A, xb, interior_product(A, xa, phi_form))
     )
-    if cartan != derived_form:
-        raise InternalConsistencyError(
-            "twisted bracket paths disagree", "twisted_bracket", (derived_form, cartan)
-        )
+    cross_check(derived_form, cartan, "twisted bracket paths disagree", "twisted_bracket")
     return derived_form
 
 
@@ -483,10 +477,7 @@ def relative_modular_class(D: DiracFrame, H: Hamiltonian) -> Cocycle1:
         base_mod = modular_cocycle(A)
         base = [base_mod.component(i) for i in range(1, n + 1)]
         cross = transport(dual_mod.value, ind.table()) + _components_to_form(ind, P.sharp(base))
-        if rel.value != cross:
-            raise InternalConsistencyError(
-                "relative class paths disagree", "relative_modular_class", (rel.value, cross)
-            )
+        cross_check(rel.value, cross, "relative class paths disagree", "relative_modular_class")
     return rel
 
 

@@ -11,6 +11,12 @@ class InternalConsistencyError(RuntimeError):
         self.check, self.values = check, values
 
 
+def cross_check(first, second, message: str, check: str) -> None:
+    """Compare the results of a cross-check's two routes; raise when they differ."""
+    if first != second:
+        raise InternalConsistencyError(message, check, (first, second))
+
+
 class DiracClosureError(ValueError):
     """A frame is not bracket-closed; carries the offending residual."""
 

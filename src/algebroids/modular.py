@@ -34,7 +34,7 @@ from .algebroid import (
     is_morphism,
     pullback,
 )
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, cross_check
 from .linalg import solve_linear
 from .scalar import ScalarField
 from .superalg import SuperPoly, divergence, gauge_divergence
@@ -106,8 +106,7 @@ def modular_cocycle(A: SkewAlgebroid, gauge=None) -> Cocycle1:
     if gauge is not None:
         coeffs = [f + A.anchor_action(A.frame_section(i), g) / g for i, f in enumerate(coeffs, 1)]
     traces = _components_to_form(A, coeffs)
-    if div != traces:
-        raise InternalConsistencyError("modular cocycle paths disagree", "modular_cocycle", (div, traces))
+    cross_check(div, traces, "modular cocycle paths disagree", "modular_cocycle")
     A._memo[key] = Cocycle1(A, div)
     return A._memo[key]
 

@@ -703,9 +703,8 @@ class ScalarField:
         if gf or gu is not None:
             bf, df = (tuple((f, e - _mult(gf, f)) for f, e in fs) for fs in (bf, df))
             bg, dg = _expand(one, bf, bu), _expand(one, df, du)
+        # canonical a/b and c/d cancel only when b == d, handled above
         t = _plin(u, _pmul(a, dg), w, _pmul(c, bg))
-        if not t:
-            return ScalarField.zero(self.chart)
         ct, t = _zprim(t)
         # a, c are coprime to b, d, so t can share a factor with g only; the
         # sum is t/q over (b/g)*(d/g)*(g/q) for q = gcd(t, g)

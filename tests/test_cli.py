@@ -329,3 +329,122 @@ def test_exact_budget_scales_with_the_chart(capsys):
     argv = ("exact", R4, "tm4", "y1", "--bound")
     assert run(argv + ("6",), capsys) == (0, "EXACT: YES, f = x1\n", "")
     assert run(argv + ("7",), capsys) == (2, "", "ERROR: --bound must be at most 6\n")
+
+
+# twisted_r4.alg plus objects no shipped file declares: a bundle map of tm4
+# that is not a morphism, the graph frame of Pbook, which does not close,
+# and a frame on a rank-1 algebroid
+EXTENDED_R4 = Path(R4).read_text() + """
+[morphism swap: tm4 -> tm4]
+phi 1 2 = 1
+phi 2 1 = 1
+
+[frame Dbook on tm4]
+D 1 = y1 + xi2
+D 2 = y2 - xi1
+D 3 = y3 + (1 + x1)*xi4
+D 4 = y4 - (1 + x1)*xi3
+
+[algebroid line]
+rank = 1
+rho 1 1 = 1
+
+[frame Dline on line]
+D 1 = y1
+"""
+
+EXTENDED_RUNS = [
+    (("morphism-check", "swap"), (1, "MORPHISM: FAIL, at x1, defect = -y1 + y2\n", "")),
+    (("morphism-mod", "swap"), (1, "MORPHISM: FAIL, at x1, defect = -y1 + y2\n", "")),
+    (
+        ("dirac-check", "Dbook", "H"),
+        (1, "DIRAC: FAIL, bracket (2,3) leaves the span, residual = -xi4\n", ""),
+    ),
+    (("verify-cor53", "Pbook", "H"), (1, "QUASI-POISSON: NO, obstruction = xi2*xi3*xi4\n", "")),
+    (("dirac-check", "Dline", "H"), (2, "", "ERROR: frame and Hamiltonian live on different spaces\n")),
+    (("relative-modular", "Dline", "H"), (2, "", "ERROR: frame and Hamiltonian live on different spaces\n")),
+    (("relative-modular", "tm4", "H"), (2, "", "ERROR: 'tm4' is an algebroid, not a frame or bivector\n")),
+    (("relative-modular", "nosuch", "H"), (2, "", "ERROR: undeclared frame or bivector 'nosuch'\n")),
+    (("exact", "tm4", "y1", "--bound", "0"), (2, "", "ERROR: --bound must be at least 1\n")),
+    (
+        ("dorfman", "H", "xi1 +", "xi2"),
+        (2, "", "ERROR: section 'xi1 +': unexpected end of expression (line 1, column 5)\n"),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EXTENDED_RUNS, ids=lambda v: None)
+def test_certificates_and_argument_errors(argv, expected, tmp_path, capsys):
+    """Failure certificates and argument errors that the shipped files and
+    the golden runs leave unreached."""
+    path = tmp_path / "extended.alg"
+    path.write_text(EXTENDED_R4)
+    assert run((argv[0], str(path), *argv[1:]), capsys) == expected
+
+
+# a chart, a rank-2 algebroid a and a rank-1 algebroid b; each entry error
+# below is appended to it and reported on the file's last line
+ENTRY_BASE = "[chart]\ncoords = x1 x2\n\n[algebroid a]\nrank = 2\n\n[algebroid b]\nrank = 1\n"
+
+ENTRY_ERRORS = [
+    ("[morphism f: b -> a]\nphi 1 = 1\n", "morphism entries look like 'phi i j = <expr>'"),
+    ("[morphism f: b -> a]\nphi 2 1 = 1\n", "matrix index (2,1) out of range"),
+    ("[morphism f: b -> a]\nphi 1 3 = 1\n", "matrix index (1,3) out of range"),
+    ("[morphism f: b -> a]\nphi 1 2 = 1\nphi 1 02 = x1\n", "duplicate entry phi 1 2"),
+    ("[morphism f: b -> a]\nphi 1 x = 1\n", "indices must be integers"),
+    ("[bivector P on a]\nQ 1 2 = 1\n", "bivector entries look like 'P i j = <expr>'"),
+    ("[bivector P on a]\nP 1 3 = 1\n", "bivector index (1,3) needs 1 <= i < j <= 2"),
+    ("[bivector P on a]\nP 1 2 = 1\nP 1 2 = 1\n", "duplicate entry P 1 2"),
+    ("[hamiltonian H on a]\npsi 1 2 = 1\n", "hamiltonian entries are 'phi i j k' or 'term'"),
+    ("[hamiltonian H on a]\nphi 1 2 = 1\n", "hamiltonian entries are 'phi i j k' or 'term'"),
+    ("[hamiltonian H on a]\nphi 1 2 3 = 1\n", "twist index (1,2,3) needs 1 <= i < j < k <= 2"),
+    (
+        "[algebroid c3]\nrank = 3\n\n[hamiltonian H on c3]\nphi 1 2 3 = 1\nphi 1 2 3 = x1\n",
+        "duplicate entry phi 1 2 3",
+    ),
+    ("[hamiltonian H on a]\nterm = y1*xi1 +\n", "unexpected end of expression (line 1, column 8)"),
+    ("[frame F on a]\nD 1 2 = y1\n", "frame entries look like 'D a = <expr>'"),
+    ("[frame F on a]\nD 3 = y1\n", "frame index 3 out of range"),
+    ("[frame F on a]\nD 1 = y1\nD 1 = y1\n", "duplicate entry D 1"),
+    ("[frame F on a]\nD 1 = (y1\n", "expected ')' (line 1, column 2)"),
+    ("[algebroid z]\nrank = 0\n", "rank must be at least 1"),
+    ("[algebroid z]\nrank = two\n", "rank must be an integer"),
+    ("[algebroid z]\nrho 1 1 = 1\n", "'rank = n' must come before structure entries"),
+    ("[algebroid z]\nrank 1 = 1\n", "'rank = n' must come before structure entries"),
+    ("[algebroid z]\nrank = 1\nrank 1 = 1\n", "algebroid entries are 'rank', 'c i j k', or 'rho i a'"),
+    ("[algebroid z]\nrank = 1\nrho 1 1 = 1\nrho 1 1 = 1\n", "duplicate entry rho 1 1"),
+    ("[algebroid z]\nrank = 2\nc 1 2 1 = 1\nc 1 2 1 = 1\n", "duplicate entry c 1 2 1"),
+]
+
+
+@pytest.mark.parametrize("entries,message", ENTRY_ERRORS, ids=lambda v: None)
+def test_entry_errors(entries, message, tmp_path, capsys):
+    """Shape, index, range, duplicate and value errors of section entries."""
+    text = ENTRY_BASE + "\n" + entries
+    path = tmp_path / "entries.alg"
+    path.write_text(text)
+    err = f"ERROR: {path}:{text.count(chr(10))}: {message}\n"
+    assert run(("check-jacobi", str(path), "a"), capsys) == (2, "", err)
+
+
+def test_chart_entry_errors(tmp_path, capsys):
+    path = tmp_path / "chart.alg"
+    for text, message in (
+        ("[chart]\ncoords = x1 x1\n", "2: duplicate coordinate name 'x1'"),
+        ("[chart]\ncoords = x1\ncoords = x2\n", "3: duplicate coords entry"),
+        ("[chart]\nnames = x1\n", "2: chart sections take a single 'coords' entry"),
+        ("[chart]\ncoords 1 = x1\n", "2: chart sections take a single 'coords' entry"),
+    ):
+        path.write_text(text)
+        assert run(("check-jacobi", str(path), "a"), capsys) == (2, "", f"ERROR: {path}:{message}\n")
+
+
+def test_readme_lists_the_help_usage_lines(capsys):
+    """README's command block holds exactly the usage lines --help prints."""
+    code, out, err = run(("--help",), capsys)
+    assert code == 0 and err == ""
+    printed = sorted(line.strip() for line in out.splitlines()[1:])
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    listed = sorted(block.splitlines())
+    assert listed == printed

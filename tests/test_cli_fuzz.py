@@ -59,7 +59,7 @@ def calls(draw):
     verb = draw(st.sampled_from(sorted(_VERBS) + ["--help", "frobnicate"]))
     # each slot of the verb's usage gets a fitting word, so that most calls
     # reach the mathematics; then some words are swapped for noise
-    usage = _VERBS[verb][3].split()[1:] if verb in _VERBS else ["ALGEBROID"]
+    usage = _VERBS[verb][1].split()[1:] if verb in _VERBS else ["ALGEBROID"]
     args = []
     for slot in (w for w in usage if w.replace("-", "").isalpha()):
         kinds = slot.lower().split("-or-")

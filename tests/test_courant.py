@@ -24,6 +24,7 @@ from algebroids.courant import (
     split_space,
     standard_hamiltonian,
 )
+from algebroids.errors import InternalConsistencyError
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
@@ -568,3 +569,14 @@ def test_project_round_trip():
     proj = project_to_E(H)
     assert proj.c == {}
     assert not hamiltonian_square(H).is_zero
+
+
+def test_projectability_consistency_error_carries_both_verdicts(monkeypatch):
+    """A planted error in the field route: the error names the check and
+    carries the bidegree verdict and the field verdict, in that order."""
+    H = algebroid_hamiltonian(tangent(CH2), split_space(CH2, 2))
+    monkeypatch.setattr(courant, "poisson_bracket", lambda F, G, space: gen(space, space.zeta[-1]))
+    with pytest.raises(InternalConsistencyError, match="projectability criteria disagree") as err:
+        is_projectable(H)
+    assert err.value.check == "projectability"
+    assert err.value.values == (True, False)

@@ -1,6 +1,7 @@
 """Bivector graphs, gauge flows, twists, induced brackets, relative classes."""
 
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from algebroids.dirac import (
     twisted_hamiltonian,
     verify_morphism_cor53,
 )
-from algebroids.errors import DiracClosureError
+from algebroids.errors import DiracClosureError, InternalConsistencyError
 from algebroids.modular import modular_class_of_morphism, modular_cocycle
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
@@ -597,3 +598,53 @@ def test_twist_and_anchor_take_no_extra_brackets(monkeypatch):
         assert quasi_poisson_check(P, Hamiltonian(H.space, H.value))[0]
         assert len(calls) == length
         assert all(F is P.value for F in calls)
+
+
+def _fresh_tm2_pair():
+    """The tangent algebroid of the plane with P = x1 e1^e2, built anew so
+    that no memoised result skips a planted error."""
+    A = tangent(CH2)
+    space = split_space(CH2, 2)
+    return A, mu_ham(A, space), Bivector(space, {(1, 2): x(CH2, "x1")})
+
+
+def test_twist_obstruction_consistency_error_carries_both_forms(monkeypatch):
+    """A planted error in the multivector route of the twist obstruction:
+    the flowed obstruction comes first, the Schouten route second."""
+    _, H, P = _fresh_tm2_pair()
+    sharp = dirac.sharp_substitution
+    monkeypatch.setattr(dirac, "sharp_substitution", lambda P, phi: sharp(P, phi) + sp(P.space, "xi1"))
+    with pytest.raises(InternalConsistencyError, match="twist obstruction paths disagree") as err:
+        quasi_poisson_check(P, H)
+    assert err.value.check == "twist_obstruction"
+    assert tuple(map(str, err.value.values)) == ("0", "-xi1")
+
+
+def test_twisted_bracket_consistency_error_carries_both_forms(monkeypatch):
+    """A planted error in the Cartan route: the derived bracket comes first,
+    the Cartan formula second."""
+    A, H, P = _fresh_tm2_pair()
+    lie = dirac.lie_derivative_form
+    monkeypatch.setattr(dirac, "lie_derivative_form", lambda A, X, form: lie(A, X, form) + form)
+    alpha, beta = (parse_super(text, A.table()) for text in ("y1", "y2"))
+    with pytest.raises(InternalConsistencyError, match="twisted bracket paths disagree") as err:
+        twisted_bracket(P, H, alpha, beta)
+    assert err.value.check == "twisted_bracket"
+    assert tuple(map(str, err.value.values)) == ("y1", "y2")
+
+
+def test_relative_class_consistency_error_carries_both_forms(monkeypatch):
+    """A planted error in the morphism route of a graph frame's relative
+    class: the morphism class comes first, the twisted dual route second."""
+    _, H, P = _fresh_tm2_pair()
+    relative = dirac.modular_class_of_morphism
+
+    def shifted(phi):
+        value = relative(phi).value
+        return types.SimpleNamespace(value=value + SuperPoly.generator(value.table, "y1"))
+
+    monkeypatch.setattr(dirac, "modular_class_of_morphism", shifted)
+    with pytest.raises(InternalConsistencyError, match="relative class paths disagree") as err:
+        relative_modular_class(graph_frame(P), H)
+    assert err.value.check == "relative_modular_class"
+    assert tuple(map(str, err.value.values)) == ("y1 - 2*y2", "-2*y2")
