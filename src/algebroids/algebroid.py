@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError
 from .linalg import row_reduce
-from .scalar import BaseChart, ScalarField
+from .scalar import BaseChart, ScalarField, sum_products
 from .superalg import (
     GeneratorTable,
     SuperPoly,
@@ -122,12 +122,11 @@ class SkewAlgebroid:
 
     def anchor_action(self, X, f: ScalarField) -> ScalarField:
         """rho(X) applied to a base function."""
-        X = self.section(X)
-        out = ScalarField.zero(self.chart)
-        for (i, a), r in self.rho.items():
-            if not X[i - 1].is_zero:
-                out = out + X[i - 1] * r * f.partial(a)
-        return out
+        return sum_products(self.chart, self._anchor_products(self.section(X), f))
+
+    def _anchor_products(self, X: tuple, f: ScalarField, w=1) -> list:
+        """The products (w, X_i, rho_i^a, df/dx_a) that w*rho(X) f sums."""
+        return [(w, X[i - 1], r, f.partial(a)) for (i, a), r in self.rho.items() if not X[i - 1].is_zero]
 
     def de_rham_field(self) -> SuperVectorField:
         if "field" not in self._memo:
@@ -167,12 +166,10 @@ def bracket_sections(A: SkewAlgebroid, X, Y) -> tuple:
     """Anchored antisymmetric bracket on section encodings."""
     X = A.section(X)
     Y = A.section(Y)
-    out = [A.anchor_action(X, y) - A.anchor_action(Y, x) for x, y in zip(X, Y)]
+    sums = [A._anchor_products(X, y) + A._anchor_products(Y, x, -1) for x, y in zip(X, Y)]
     for (i, j, k), f in A.c.items():
-        w = X[i - 1] * Y[j - 1] - X[j - 1] * Y[i - 1]
-        if not w.is_zero:
-            out[k - 1] = out[k - 1] + w * f
-    return tuple(out)
+        sums[k - 1] += [(1, X[i - 1], Y[j - 1], f), (-1, X[j - 1], Y[i - 1], f)]
+    return tuple(sum_products(A.chart, products) for products in sums)
 
 
 def interior_product(A: SkewAlgebroid, X, omega: SuperPoly) -> SuperPoly:

@@ -443,10 +443,7 @@ def _cmd_exact(A, text, bound=None):
     cap = _max_bound(A.chart.m)
     if bound > cap:
         raise CliError(f"{over}--bound must be at most {cap}")
-    try:
-        flag, witness = is_exact(A, cocycle, bound)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    flag, witness = is_exact(A, cocycle, bound)
     if flag:
         return _report(0, f"EXACT: YES, f = {witness}")
     return _report(1, f"EXACT: NO (degree bound {bound})")

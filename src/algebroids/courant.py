@@ -18,19 +18,15 @@ The bracket runs over the nonzero entries of the inverse pairing only,
 listed once per space (a split space reads them off its block form, with
 no arithmetic per entry). It takes the partials of F and G as term
 dicts, each partial of G at most once per call, and differentiates F by
-x^a only where G has a term in p_a to pair with it. It accumulates every
-product into one term dict in place, building a single SuperPoly at the
-end; an entry g^{ij} = +-1 costs no multiplication. Each product is
-summed on its own before it is folded in, in the loop order parity part
-of F, then coordinates, then zeta^i, zeta^j, so every scalar addition of
-``poisson_bracket`` is the one that adding SuperPolys in that order would
-make: over Q(x) the order of the additions sets the size of the
-intermediate denominators.
+x^a only where G has a term in p_a to pair with it. It lists every
+product under its key, with the sign and the pairing entry g^{ij} as a
+rational weight, and sums each key's products once
+(``superalg._sum_pending``), building a single SuperPoly at the end.
 
 ``hamiltonian_square`` does not call the bracket. {H, H} of a cubic is
-graded-symmetric, so it sums half of the products, through the same
-kernel, and doubles the half-sum once; its additions are not the ones
-``poisson_bracket(H, H)`` makes, and its value is the same.
+graded-symmetric, so it lists half of the products, each with weight
+2*g^{ij} (2 for the coordinate pairs), and the diagonal ones with weight
+g^{ii}; each coefficient is then summed once, like the bracket's.
 
 Split spaces mark N = 2n with zeta = (y^1..y^n, xi_1..xi_n) and the
 off-diagonal block pairing, so {y^i, xi_j} = delta^i_j. Cubic
@@ -62,6 +58,7 @@ from .superalg import (
     _add_product,
     _monomial_sum,
     _partial_terms,
+    _sum_pending,
 )
 
 
@@ -178,7 +175,7 @@ def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> Supe
                 _add_product(out, _partial_terms(part, "coord", a), dpG)
             dpF = _partial_terms(part, "even2", a)
             if dpF:
-                _add_product(out, dpF, dG("coord", a), negate=True)
+                _add_product(out, dpF, dG("coord", a), -1)
         # the right derivative by zeta^i is (-1)^(parity+1) times the left one
         for i in sorted({i for odd, _ in part for i in odd}):
             dziF = _partial_terms(part, "odd", i)
@@ -186,10 +183,8 @@ def poisson_bracket(F: SuperPoly, G: SuperPoly, space: SymplecticSpace2) -> Supe
                 dzjG = dG("odd", j)
                 if not dzjG:
                     continue
-                negate = (gij < 0) == bool(parity)
-                scale = None if abs(gij) == 1 else ScalarField.const(chart, abs(gij))
-                _add_product(out, dziF, dzjG, scale, negate)
-    return SuperPoly(space.table, out)
+                _add_product(out, dziF, dzjG, gij if parity else -gij)
+    return SuperPoly(space.table, _sum_pending(out))
 
 
 class Hamiltonian:
@@ -255,32 +250,22 @@ def hamiltonian_square(H: Hamiltonian) -> SuperPoly:
         {H, H} = 2 (sum_a dH/dx^a dH/dp_a + sum_{i<j} g^{ij} d_iH d_jH)
                  + sum_i g^{ii} (d_iH)^2.
 
-    Each partial of H is taken once. The half-sum is folded into one term
-    dict and each of its coefficients doubled once; the diagonal terms,
-    which only unsplit pairings have, are added after that.
+    Each partial of H is taken once. The doubling is a weight on each
+    product of the half-sum; the diagonal terms, which only unsplit
+    pairings have, keep weight g^{ii}.
     """
     space, terms = H.space, H.value.terms
-    chart = space.chart
-    half: dict = {}
-    for a in range(chart.m):
+    out: dict = {}
+    for a in range(space.chart.m):
         dpH = _partial_terms(terms, "even2", a)
         if dpH:
-            _add_product(half, _partial_terms(terms, "coord", a), dpH)
+            _add_product(out, _partial_terms(terms, "coord", a), dpH, 2)
     dz = {i: _partial_terms(terms, "odd", i) for i in sorted({i for odd, _ in terms for i in odd})}
-    diagonal = []
     for i, dziH in dz.items():
         for j, gij in space._inv_rows[i]:
-            if j < i or j not in dz:
-                continue
-            scale = None if abs(gij) == 1 else ScalarField.const(chart, abs(gij))
-            if j == i:
-                diagonal.append((dziH, scale, gij < 0))
-            else:
-                _add_product(half, dziH, dz[j], scale, gij < 0)
-    out = {key: c + c for key, c in half.items()}
-    for dziH, scale, negate in diagonal:
-        _add_product(out, dziH, dziH, scale, negate)
-    return SuperPoly(space.table, out)
+            if j >= i and j in dz:
+                _add_product(out, dziH, dz[j], gij if j == i else 2 * gij)
+    return SuperPoly(space.table, _sum_pending(out))
 
 
 def derived_bracket(X: SuperPoly, Y: SuperPoly, H: Hamiltonian) -> SuperPoly:

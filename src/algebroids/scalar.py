@@ -71,6 +71,18 @@ a gcd only where a rest is involved and coprimality is not already known:
   denominator it differentiates the numerator.
 - Powers of a coprime pair stay coprime, so ``**`` raises numerator and
   denominator separately, and multiplies the multiplicities.
+- Sums of products (``sum_products``) are reduced once, not once per
+  product. With every denominator constant, the integer numerators are
+  multiplied and accumulated into one polynomial, the weights' denominators
+  cleared by their lcm, and only its content is taken. Otherwise the
+  common denominator holds each certified factor at its largest
+  multiplicity and each rest, split by those factors, at its largest;
+  products over the same denominator are summed first, each group is
+  multiplied by what its denominator lacks, and only ``gcd(t, D)`` is left
+  to cancel, by trial division and one gcd with the rests. A product with
+  a rest among its factors is multiplied out first: a rest often cancels
+  against another factor's numerator, where ``_pgcd`` finds equal operands.
+  A single product is just the product.
 
 The expression parser needs none of this: input has no quotients, so it
 folds plain polynomial dicts with rational coefficients, in one token pass,
@@ -741,6 +753,10 @@ class ScalarField:
     def __neg__(self):
         return ScalarField._canonical(self.chart, -self._k, self._n, self._d, self._f, self._u)
 
+    def scaled(self, q) -> "ScalarField":
+        """self times the nonzero rational q: only the content changes."""
+        return ScalarField._canonical(self.chart, self._k * q, self._n, self._d, self._f, self._u)
+
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -908,6 +924,115 @@ class ScalarField:
 _set_chart, _set_k, _set_n, _set_d, _set_f, _set_u = (
     ScalarField.__dict__[name].__set__ for name in ScalarField.__slots__
 )
+
+
+def _pmac(acc: dict, s: int, ps: list) -> None:
+    """acc += s times the product of the polynomials ps, in place; terms
+    that cancel stay in acc as zeros."""
+    a = ps[0]
+    for b in ps[1:-1]:
+        a = _pmul(a, b)
+    if len(ps) == 1:
+        for m, c in a.items():
+            acc[m] = acc.get(m, 0) + s * c
+        return
+    for ma, ca in a.items():
+        ca *= s
+        for mb, cb in ps[-1].items():
+            m = tuple(map(add, ma, mb))
+            acc[m] = acc.get(m, 0) + ca * cb
+
+
+def sum_products(chart: BaseChart, products) -> ScalarField:
+    """The sum of w*f*g*... over the products (w, f, g, ...), each w
+    rational and each factor a ScalarField on the chart, reduced once over
+    a common denominator D, as the module docstring describes."""
+    live = []
+    for w, *fs in products:
+        rest = False
+        for f in fs:
+            if not f._n:
+                break
+            rest = rest or f._u is not None
+        else:
+            if w:
+                live.append((w, [_product(fs)] if rest and len(fs) > 1 else fs))
+    if len(live) == 1:
+        w, fs = live[0]
+        p = _product(fs)
+        return p if w == 1 else p.scaled(w)
+    const = True
+    for i, (k, fs) in enumerate(live):
+        for f in fs:
+            k *= f._k
+            const = const and not f._f and f._u is None
+        live[i] = (k, fs)
+    l = lcm(*(k.denominator for k, _ in live))
+    if const:
+        t: dict = {}
+        for k, fs in live:
+            _pmac(t, k.numerator * (l // k.denominator), [f._n for f in fs])
+        return _reduced(chart, l, t, (), None)
+    factors: dict = {}
+    for _, fs in live:
+        for f in fs:
+            for p, _ in f._f:
+                factors.setdefault(frozenset(p.items()), p)
+    every = tuple((p, 1) for p in factors.values())
+    # each factor's base, split by every certified factor, as (key, e) pairs
+    # with the rests keyed alongside the certified factors
+    rests: dict = {}
+    bases: dict = {}
+    groups: dict = {}
+    for k, fs in live:
+        mult: dict = {}
+        for f in fs:
+            base = bases.get(id(f))
+            if base is None:
+                split, u = _split(f._f, f._u, every)
+                base = bases[id(f)] = [(frozenset(p.items()), e) for p, e in split]
+                if u is not None:
+                    key = frozenset(u.items())
+                    rests[key] = u
+                    base.append((key, 1))
+            for key, e in base:
+                mult[key] = mult.get(key, 0) + e
+        t = groups.setdefault(frozenset(mult.items()), {})
+        _pmac(t, k.numerator * (l // k.denominator), [f._n for f in fs])
+    top: dict = {}
+    for group in groups:
+        for key, e in group:
+            top[key] = max(top.get(key, 0), e)
+    total: dict = {}
+    for group, t in groups.items():
+        lack = dict(top)
+        for key, e in group:
+            lack[key] -= e
+        t = {m: c for m, c in t.items() if c}
+        if t:
+            _pmac(total, 1, [t, *(factors.get(key) or rests[key] for key, e in lack.items() for _ in range(e))])
+    fs = tuple((p, top[key]) for key, p in factors.items())
+    return _reduced(chart, l, total, fs, _rest(*(u for key, u in rests.items() for _ in range(top[key]))))
+
+
+def _product(fs: list) -> ScalarField:
+    """The canonical product of the ScalarFields fs."""
+    p = fs[0]
+    for f in fs[1:]:
+        p = p._times(f._k, f._n, f._d, f._f, f._u)
+    return p
+
+
+def _reduced(chart: BaseChart, l: int, t: dict, fs: tuple, u: dict | None) -> ScalarField:
+    """The canonical t/(l*D) for an integer polynomial t, possibly holding
+    zeros, and the factor base (fs, u) of D."""
+    t = {m: c for m, c in t.items() if c}
+    if not t:
+        return ScalarField.zero(chart)
+    c, t = _zprim(t)
+    t, fs, u, _ = _cancel(t, fs, u)
+    fs, u = _settle(fs, u)
+    return ScalarField._canonical(chart, _rat(c, l), t, _expand((0,) * chart.m, fs, u), fs, u)
 
 
 # expression parser, shared by the scalar and super layers

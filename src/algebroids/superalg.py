@@ -20,12 +20,16 @@ ones. The sign block is forced: degree-2 even generators must take the
 same sign as the base coordinates or the commutator rule
 div([X,Y]) = X(div Y) - (-1)^{|X||Y|} Y(div X) fails on mixed fields.
 
-Two private builders make every term dict. ``_add_product`` folds the
-product of two term dicts into an accumulator dict in place. Multiplying
-SuperPolys, applying a vector field, substitution and the Poisson bracket
-of ``courant`` all use it, so a sum of products builds one term dict, not
-a new SuperPoly per product and per partial sum. It keeps the order of
-every scalar addition that adding the products as SuperPolys would make.
+Two private builders make every term dict. ``_add_product`` lists the
+products of two term dicts under the keys they land on, each product as a
+weight and its two coefficients, and ``_sum_pending`` then sums every
+key's list once with ``scalar.sum_products``: one reduction per
+coefficient over a common denominator, not one addition per product.
+Multiplying SuperPolys, applying a vector field, substitution and the
+Poisson bracket and {H, H} of ``courant`` all use them, so a sum of
+products builds one term dict, not a new SuperPoly or ScalarField per
+product and per partial sum. The canonical form is unique, so the order
+in which products are listed cannot change a coefficient.
 ``_monomial_sum`` builds a sum of coefficients times named generator
 monomials directly, with no product at all: frame forms, the de Rham
 field, Hamiltonians, substitution images and ``transport`` onto another
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .scalar import _IDENT, BaseChart, ParseError, ScalarField, parse_expression
+from .scalar import _IDENT, BaseChart, ParseError, ScalarField, parse_expression, sum_products
 
 
 @dataclass(frozen=True)
@@ -103,42 +107,28 @@ def _merge_odd(a: tuple, b: tuple):
     return sign, tuple(sorted(a + b))
 
 
-def _add_product(acc: dict, a: dict, b: dict, scale=None, negate: bool = False) -> None:
-    """Fold the product of term dicts a and b into acc, in place.
-
-    The product is summed on its own first, a's terms outer and b's inner,
-    then optionally scaled by a ScalarField and negated, and only then
-    added into acc key by key. A key whose sum cancels leaves acc, as the
-    SuperPoly constructor would drop it. So every scalar addition is the
-    one ``acc + (a * b) * scale`` makes on SuperPolys, in the same order:
-    over Q(x) the order fixes the size of the intermediate denominators.
-    """
-    piece: dict = {}
+def _add_product(acc: dict, a: dict, b: dict, w=1) -> None:
+    """Append w times the product of term dicts a and b to the pending sums
+    of acc, in place: each key of the product gets one more entry
+    (sign*w, ca, cb) in its list, for ``_sum_pending`` to reduce."""
     for (oa, ea), ca in a.items():
         for (ob, eb), cb in b.items():
             sign, odd = _merge_odd(oa, ob)
             if sign == 0:
                 continue
             key = (odd, tuple(map(add, ea, eb)))
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = piece.get(key)
-            piece[key] = c if s is None else s + c
-    for key, c in piece.items():
-        if c.is_zero:
-            continue
-        if scale is not None:
-            c = c * scale
-        s = acc.get(key)
-        if s is None:
-            acc[key] = -c if negate else c
-            continue
-        s = s - c if negate else s + c
-        if s.is_zero:
-            del acc[key]
-        else:
-            acc[key] = s
+            item = (w if sign > 0 else -w, ca, cb)
+            pending = acc.get(key)
+            if pending is None:
+                acc[key] = [item]
+            else:
+                pending.append(item)
+
+
+def _sum_pending(acc: dict) -> dict:
+    """The term dict of pending sums, each key's products reduced once by
+    ``scalar.sum_products``; sums that cancel stay, as zeros."""
+    return {key: sum_products(products[0][1].chart, products) for key, products in acc.items()}
 
 
 def _monomial_sum(table: GeneratorTable, entries) -> "SuperPoly":
@@ -187,7 +177,7 @@ def _partial_terms(terms: dict, kind: str, i: int) -> dict:
         for (odd, even), c in terms.items():
             e = even[i]
             if e:
-                out[(odd, even[:i] + (e - 1,) + even[i + 1 :])] = c if e == 1 else c * e
+                out[(odd, even[:i] + (e - 1,) + even[i + 1 :])] = c if e == 1 else c.scaled(e)
     return out
 
 
@@ -318,9 +308,9 @@ class SuperPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        _add_product(terms, self.terms, o.terms)
-        return SuperPoly(self.table, terms)
+        pending: dict = {}
+        _add_product(pending, self.terms, o.terms)
+        return SuperPoly(self.table, _sum_pending(pending))
 
     def __rmul__(self, other):
         # scalars are central, so left and right coercion agree
@@ -358,8 +348,8 @@ class SuperPoly:
         The images live on ``table``, by default this value's own, where
         unlisted generators stay put. Another table must share the chart and
         the even generators, and every odd generator present needs an image.
-        Each term is multiplied out factor by factor, its coefficient first,
-        and its last product is folded straight into the result.
+        Each term is expanded into products of its coefficient and one term
+        of each image, and every coefficient of the result is summed once.
         """
         src = self.table
         table = src if table is None else table
@@ -379,12 +369,20 @@ class SuperPoly:
             raise ValueError("every odd generator present needs an image on another table")
         out: dict = {}
         for (odd, even), c in self.terms.items():
-            piece = {((), even): c}
-            for i in odd[:-1]:
-                piece, left = {}, piece
-                _add_product(piece, left, gens[i])
-            _add_product(out, piece, gens[odd[-1]] if odd else {((), zeros): one})
-        return SuperPoly(table, out)
+            # the term's products (w, c, a_1, ..., a_r), one factor a_j from
+            # each image in turn, with the Koszul sign in the weight w
+            expanded = [(((), even), 1, (c,))]
+            for i in odd:
+                longer = []
+                for (oa, ea), w, fs in expanded:
+                    for (ob, eb), a in gens[i].items():
+                        sign, merged = _merge_odd(oa, ob)
+                        if sign:
+                            longer.append(((merged, tuple(map(add, ea, eb))), sign * w, (*fs, a)))
+                expanded = longer
+            for key, w, fs in expanded:
+                out.setdefault(key, []).append((w, *fs))
+        return SuperPoly(table, _sum_pending(out))
 
     # printing
 
@@ -484,10 +482,10 @@ class SuperVectorField:
     def apply(self, f: SuperPoly) -> SuperPoly:
         if f.table != self.table:
             raise ValueError("generator table mismatch")
-        terms: dict = {}
+        pending: dict = {}
         for name, comp in self.components.items():
-            _add_product(terms, comp.terms, f.left_partial(name).terms)
-        return SuperPoly(self.table, terms)
+            _add_product(pending, comp.terms, f.left_partial(name).terms)
+        return SuperPoly(self.table, _sum_pending(pending))
 
     def __eq__(self, other):
         if not isinstance(other, SuperVectorField):

@@ -28,8 +28,8 @@ from algebroids.errors import InternalConsistencyError
 from algebroids.scalar import BaseChart, ScalarField, parse_scalar
 from algebroids.superalg import SuperPoly, parse_super
 
-from genlib import dense_rational_skew, rand_lie, rand_skew, rand_super_homogeneous
-from oracles import c_at, poisson_bracket_oracle, rho_at
+from genlib import dense_rational_skew, rand_lie, rand_skew, rand_super_homogeneous, sparse_rational_skew
+from oracles import _term_product, bracket_sections_oracle, c_at, poisson_bracket_oracle, rho_at
 
 CH1 = BaseChart(("x1",))
 CH2 = BaseChart(("x1", "x2"))
@@ -326,6 +326,41 @@ def rand_scalar_for(rng, chart):
     from genlib import rand_poly
 
     return rand_poly(rng, chart, deg=1)
+
+
+def test_sums_of_products_run_no_binary_addition(monkeypatch):
+    """Poisson brackets, {H, H}, SuperPoly products and section brackets
+    sum each coefficient's products in one scalar.sum_products call: on a
+    sparse rational algebroid of the benchmark's srat_r3 shape, no binary
+    ScalarField addition runs inside them. Every +, - and their reflected
+    forms go through ScalarField._plus, which is counted."""
+    A = sparse_rational_skew(random.Random(433), CH3, 3)
+    H = algebroid_hamiltonian(A)
+    space = H.space
+    x1, x2, x3 = (ScalarField.coord(CH3, name) for name in CH3.names)
+    X = ((1 + x1) / (5 + x2), x3, ScalarField.zero(CH3))
+    Y = (x2 / (6 + x3), ScalarField.zero(CH3), (2 - x1) / (5 + x2))
+    G = poisson_bracket(H.value, SuperPoly.generator(space.table, space.xi_name(1)), space)
+    M = parse_super("(1 + x1)*xi1 + x3*p1 - 2*xi2", space.table) / (5 + x2)
+    expected = {
+        "bracket": poisson_bracket_oracle(H.value, G, space),
+        "square": poisson_bracket_oracle(H.value, H.value, space),
+        "product": SuperPoly(space.table, _term_product(G.terms, M.terms)),
+        "sections": bracket_sections_oracle(A, X, Y),
+    }
+    additions = []
+    plus = ScalarField._plus
+    monkeypatch.setattr(ScalarField, "_plus", lambda self, k, o: additions.append(o) or plus(self, k, o))
+    got = {
+        "bracket": poisson_bracket(H.value, G, space),
+        "square": hamiltonian_square(H),
+        "product": G * M,
+        "sections": bracket_sections(A, X, Y),
+    }
+    assert additions == []
+    monkeypatch.undo()
+    assert got == expected
+    assert not got["square"].is_zero and not got["product"].is_zero
 
 
 def test_square_iff_lie():

@@ -1,8 +1,11 @@
-"""The package as source: every boundary the span tracer wraps exists, and no
-module imports a name it never uses."""
+"""The package as source: every boundary the span tracer wraps exists, no
+module imports a name it never uses, and every benchmark record the
+documents cite is at the root."""
 
 import ast
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -96,3 +99,18 @@ def test_no_module_outside_scalar_reads_its_canonical_form():
     others = [path for path in SOURCES if path.name != "scalar.py"]
     assert len(others) == len(SOURCES) - 1
     assert [hit for path in others for hit in _scalar_internals(path)] == []
+
+
+def test_every_cited_benchmark_record_exists_and_states_its_claim():
+    cited = set()
+    for doc in ("README.md", "CHANGES.md"):
+        cited.update(re.findall(r"BENCH_\d+\.json", (ROOT / doc).read_text(encoding="utf-8")))
+    assert cited
+    for name in sorted(cited):
+        path = ROOT / name
+        assert path.is_file(), f"{name} is cited but missing"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if "claim" in record:
+            claim = record["claim"]
+            assert {"metric", "workload", "met"} <= claim.keys(), f"{name}'s claim lacks a field"
+            assert isinstance(claim["met"], bool)

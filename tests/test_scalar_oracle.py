@@ -443,3 +443,66 @@ def test_factor_bases_match_sympy(operands, chain, axis):
         elif op == "^":
             value, expected = value**2, expected**2
         check(value, expected)
+
+
+# Sums of products, reduced once by scalar.sum_products. The pool's
+# denominators are powers of three certified shifts, constants, and rests
+# that no coordinate certifies: 3*x2^2 - 2, and two products of it with
+# other factors, which share it. A numerator may hold a shift or the rest,
+# so factors cancel across products as well as within them.
+SHIFTS = (LINEAR[0], LINEAR[1], LINEAR[3])
+REST = {(0, 2, 0): 3, (0, 0, 0): -2}
+RESTS = (REST, pmul(REST, {(0, 0, 2): 1, (0, 0, 0): 1}), pmul(REST, {(2, 0, 0): 1, (0, 0, 0): 2}))
+weights = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def product_sums(draw):
+    """(products, expected): one to eight products (w, f[, g[, h]]) of
+    values drawn from a pool, and their sum in sympy's field. Half the sums
+    then cancel to zero, as the products are followed by their negations;
+    some end in two values over one rest whose numerators add up to a
+    multiple of it, so that the rest cancels from the sum."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        num = draw(polynomials(3, nonzero=True))
+        if draw(st.booleans()):
+            num = pmul(num, draw(st.sampled_from((*SHIFTS, REST))))
+        exponents = draw(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)))
+        extra = draw(st.sampled_from((None, None, *RESTS)))
+        pool.append(build(SHIFTS, scale(draw(contents), num), (exponents, extra), draw(st.booleans())))
+    pick = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3)
+    products = [(draw(weights), *draw(pick)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        products += [(-w, *reversed(picks)) for w, *picks in reversed(products)]
+    elif draw(st.booleans()):
+        # n1/(R*X) + n2/(R*X) with n2 = R*s - n1 is s/X
+        exponents = draw(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)))
+        n1, s = draw(polynomials(3, nonzero=True)), draw(polynomials(3, 2, nonzero=True))
+        for num in (n1, psub(pmul(REST, s), n1)):
+            pool.append(build(SHIFTS, num, (exponents, REST), draw(st.booleans())))
+            products.append((1, len(pool) - 1))
+    expected = FIELDS[3][0].zero
+    for w, *picks in products:
+        term = FIELDS[3][0](sympy.QQ(w.numerator, w.denominator))
+        for i in picks:
+            term *= pool[i][1]
+        expected += term
+    return [(w, *(pool[i][0] for i in picks)) for w, *picks in products], expected
+
+
+@settings(ORACLE, max_examples=80)
+@given(product_sums())
+def test_sums_of_products_match_the_fold_and_sympy(drawn):
+    products, expected = drawn
+    total = scalar.sum_products(CH3, products)
+    check(total, expected)
+    fold = ScalarField.zero(CH3)
+    for w, *factors in products:
+        term = ScalarField.const(CH3, w)
+        for f in factors:
+            term = term * f
+        fold = fold + term
+    assert total == fold
+    assert all(scalar._certified(p) for p, _ in total._f)
+    assert scalar._expand((0, 0, 0), total._f, total._u) == total._d
